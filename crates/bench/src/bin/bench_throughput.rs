@@ -2,16 +2,16 @@
 //! repo's perf-trajectory document.
 //!
 //! ```text
-//! bench_throughput [--matrix tiny|geometry|devices|tiered|replacement|
-//!                   replay|paper|paper-tiered] [--jobs N]
-//!                  [--iters N] [--out FILE]
+//! bench_throughput [--matrix NAME] [--jobs N] [--iters N] [--out FILE]
 //!                  [--baseline-wall-us N] [--baseline-label STR]
 //! bench_throughput --validate FILE
 //! ```
 //!
-//! The committed `BENCH_sim.json` tracks `paper-tiered`: the canonical
-//! 9-cell figure matrix plus the same workloads against the harness-scale
-//! two-level hierarchy, so the perf trajectory covers both datapaths.
+//! `--matrix` takes any name of the `lbica_lab::MATRICES` registry that
+//! `sweep` runs. The committed `BENCH_sim.json` tracks `paper-tiered`:
+//! the canonical 9-cell figure matrix plus the same workloads against the
+//! harness-scale two-level hierarchy, so the perf trajectory covers both
+//! datapaths.
 //!
 //! Each cell runs `--iters` times serially (best wall-clock wins, so a
 //! noisy neighbour cannot inflate a cell), then the whole matrix is swept
@@ -36,8 +36,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use lbica_bench::perf::validate_report;
-use lbica_bench::{Baseline, CellPerf, ScalingPoint, SuiteConfig, ThroughputRun};
-use lbica_lab::{ScenarioMatrix, SweepExecutor};
+use lbica_bench::{Baseline, CellPerf, ScalingPoint, ThroughputRun};
+use lbica_lab::{MatrixDef, ScenarioMatrix, SweepExecutor};
 use lbica_sim::SimArena;
 
 #[derive(Debug)]
@@ -109,12 +109,7 @@ fn parse_args() -> Result<Option<Options>, String> {
                 };
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: bench_throughput [--matrix tiny|geometry|devices|paper] \
-                     [--jobs N] [--iters N] [--out FILE] \
-                     [--baseline-wall-us N] [--baseline-label STR]\n\
-                     \x20      bench_throughput --validate FILE"
-                );
+                println!("{}", usage());
                 return Ok(None);
             }
             other => return Err(format!("unknown argument `{other}`")),
@@ -123,24 +118,21 @@ fn parse_args() -> Result<Option<Options>, String> {
     Ok(Some(opts))
 }
 
+fn usage() -> String {
+    format!(
+        "usage: bench_throughput [--matrix NAME] [--jobs N] [--iters N] [--out FILE] \
+         [--baseline-wall-us N] [--baseline-label STR]\n\
+         \x20      bench_throughput --validate FILE\n\n\
+         --matrix NAME  matrix to measure (default: paper-tiered):\n\
+         \x20              {}",
+        MatrixDef::names()
+    )
+}
+
 fn build_matrix(name: &str) -> Result<ScenarioMatrix, String> {
-    match name {
-        "tiny" => Ok(ScenarioMatrix::tiny()),
-        "geometry" => Ok(ScenarioMatrix::geometry()),
-        "devices" => Ok(ScenarioMatrix::devices()),
-        "tiered" => Ok(ScenarioMatrix::tiered()),
-        "replacement" => Ok(ScenarioMatrix::replacement()),
-        "replay" => Ok(ScenarioMatrix::replay_demo()),
-        "paper" => {
-            let config = SuiteConfig::harness();
-            Ok(ScenarioMatrix::paper(config.scale, config.sim, config.seed))
-        }
-        "paper-tiered" => {
-            let config = SuiteConfig::harness();
-            Ok(ScenarioMatrix::paper_tiered(config.scale, config.sim, config.seed))
-        }
-        other => Err(format!("unknown matrix `{other}`")),
-    }
+    MatrixDef::find(name)
+        .map(|def| (def.build)())
+        .ok_or_else(|| format!("unknown matrix `{name}` (one of {})", MatrixDef::names()))
 }
 
 fn main() -> ExitCode {
@@ -286,4 +278,29 @@ fn main() -> ExitCode {
     }
     println!("wrote {}", opts.out.display());
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lbica_lab::MATRICES;
+
+    #[test]
+    fn usage_names_every_registered_matrix() {
+        let usage = usage();
+        assert!(usage.contains(&MatrixDef::names()));
+        for def in &MATRICES {
+            assert!(usage.contains(def.name), "usage omits `{}`", def.name);
+        }
+    }
+
+    #[test]
+    fn every_registered_matrix_is_accepted() {
+        for def in &MATRICES {
+            let matrix = build_matrix(def.name)
+                .unwrap_or_else(|e| panic!("matrix `{}` failed to build: {e}", def.name));
+            assert!(!matrix.is_empty(), "matrix `{}` is empty", def.name);
+        }
+        assert!(build_matrix("no-such-matrix").is_err());
+    }
 }

@@ -8,9 +8,10 @@
 //! sweep merge PART.json... [--out DIR] [--telemetry FILE]
 //! ```
 //!
-//! The named matrices live in one registry (`MATRICES`): the `--help`
-//! text, `--list` output and `--matrix` validation all render from it, so
-//! the three cannot drift apart. Highlights (`--list` has the full set):
+//! The named matrices live in one registry (`lbica_lab::MATRICES`, shared
+//! with `bench_throughput`): the `--help` text, `--list` output and
+//! `--matrix` validation all render from it, so the three cannot drift
+//! apart. Highlights (`--list` has the full set):
 //!
 //! * `tiny` (default) — 4 workloads × 3 controllers × 3 seeds at tiny
 //!   scale (36 cells); the CI smoke matrix.
@@ -81,101 +82,14 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lbica_bench::SuiteConfig;
 use lbica_lab::telemetry::{
     FanOut, JsonlTelemetry, MetricsFold, StderrProgress, TelemetryEvent, TelemetryHook,
 };
 use lbica_lab::{
-    CsvSink, JsonSink, PartialSweep, Scenario, ScenarioMatrix, SweepExecutor, SweepSummary,
+    CsvSink, JsonSink, MatrixDef, PartialSweep, Scenario, ScenarioMatrix, SweepExecutor,
+    SweepSummary, MATRICES,
 };
 use lbica_obs::SimObserver;
-
-/// One row of the matrix registry: the CLI name, the `--list` blurb and
-/// the builder. The `usage()` flag help, `--list` and `--matrix`
-/// validation all render from this one table, so the three can no longer
-/// drift apart (a unit test below pins the property).
-struct MatrixDef {
-    name: &'static str,
-    desc: &'static str,
-    build: fn() -> ScenarioMatrix,
-}
-
-fn paper_matrix() -> ScenarioMatrix {
-    let config = SuiteConfig::harness();
-    ScenarioMatrix::paper(config.scale, config.sim, config.seed)
-}
-
-const MATRICES: [MatrixDef; 13] = [
-    MatrixDef {
-        name: "tiny",
-        desc: "4 workloads x 3 controllers x 3 seeds, tiny scale (36 cells)",
-        build: ScenarioMatrix::tiny,
-    },
-    MatrixDef {
-        name: "geometry",
-        desc: "cache-size sweep: 64/128/256 sets (27 cells)",
-        build: ScenarioMatrix::geometry,
-    },
-    MatrixDef {
-        name: "devices",
-        desc: "mid-range-SSD vs 7.2K-HDD disk subsystem (18 cells)",
-        build: ScenarioMatrix::devices,
-    },
-    MatrixDef {
-        name: "tiered",
-        desc: "flat vs 2-level vs 3-level cache hierarchy (27 cells)",
-        build: ScenarioMatrix::tiered,
-    },
-    MatrixDef {
-        name: "tier-policy",
-        desc: "per-tier write policies under WB/LBICA/LBICA-T (27 cells)",
-        build: ScenarioMatrix::tier_policy,
-    },
-    MatrixDef {
-        name: "inclusion",
-        desc: "exclusive vs inclusive two-level hierarchy (18 cells)",
-        build: ScenarioMatrix::inclusion,
-    },
-    MatrixDef {
-        name: "replacement",
-        desc: "LRU vs FIFO victim selection (18 cells)",
-        build: ScenarioMatrix::replacement,
-    },
-    MatrixDef {
-        name: "replay",
-        desc: "codec-round-tripped trace-replay cells (6 cells)",
-        build: ScenarioMatrix::replay_demo,
-    },
-    MatrixDef {
-        name: "zipf",
-        desc: "Zipfian block-popularity skew sweep: s=0.0/0.6/0.9/1.2 (12 cells)",
-        build: ScenarioMatrix::zipf,
-    },
-    MatrixDef {
-        name: "diurnal",
-        desc: "paper workloads flat vs day/night diurnal modulation (18 cells)",
-        build: ScenarioMatrix::diurnal,
-    },
-    MatrixDef {
-        name: "multi-tenant",
-        desc: "1/2/4-tenant interleaves of identical templates (9 cells)",
-        build: ScenarioMatrix::multi_tenant,
-    },
-    MatrixDef {
-        name: "paper-mt",
-        desc: "six-tenant paper mix, flat + two-tier (6 cells)",
-        build: ScenarioMatrix::paper_mt,
-    },
-    MatrixDef {
-        name: "paper",
-        desc: "the canonical figure matrix at published scale (9 cells, slow)",
-        build: paper_matrix,
-    },
-];
-
-fn matrix_name_list() -> String {
-    MATRICES.iter().map(|m| m.name).collect::<Vec<_>>().join("|")
-}
 
 fn usage() -> String {
     format!(
@@ -212,7 +126,7 @@ flags:
                    report is byte-identical to the straight run
   --list           list the named matrices and exit
   --help, -h       show this message",
-        names = matrix_name_list()
+        names = MatrixDef::names()
     )
 }
 
@@ -373,9 +287,7 @@ fn parse_merge_args() -> Result<MergeOptions, String> {
 }
 
 fn build_matrix(name: &str) -> Result<ScenarioMatrix, String> {
-    MATRICES
-        .iter()
-        .find(|def| def.name == name)
+    MatrixDef::find(name)
         .map(|def| (def.build)())
         .ok_or_else(|| format!("unknown matrix `{name}` (try --list)"))
 }
@@ -770,7 +682,7 @@ mod tests {
         // The help text splices the name list straight from the registry;
         // this pins that no future edit reverts it to a hardcoded list.
         let usage = usage();
-        assert!(usage.contains(&matrix_name_list()));
+        assert!(usage.contains(&MatrixDef::names()));
         for def in &MATRICES {
             assert!(usage.contains(def.name), "usage omits `{}`", def.name);
         }

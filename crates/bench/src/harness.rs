@@ -178,6 +178,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn registered_paper_matrices_run_the_harness_configuration() {
+        let harness = SuiteConfig::harness();
+        let build = |name| (lbica_lab::MatrixDef::find(name).expect("registered").build)();
+        assert_eq!(build("paper").fingerprint(), harness.matrix().fingerprint());
+        let tiered = ScenarioMatrix::paper_tiered(harness.scale, harness.sim, harness.seed);
+        assert_eq!(build("paper-tiered").fingerprint(), tiered.fingerprint());
+    }
+
+    #[test]
     fn controller_kinds_build_correctly_named_controllers() {
         for kind in ControllerKind::ALL {
             let c = kind.build();

@@ -48,6 +48,7 @@ pub mod controller;
 pub mod executor;
 pub mod matrix;
 pub mod partial;
+pub mod registry;
 pub mod scenario;
 pub mod sink;
 pub mod telemetry;
@@ -59,6 +60,7 @@ pub use controller::ControllerKind;
 pub use executor::SweepExecutor;
 pub use matrix::{CellRange, ConfigAxis, ScenarioMatrix, SeedMode};
 pub use partial::{MergeError, MergedSweep, PartialError, PartialSweep, PARTIAL_SCHEMA};
+pub use registry::{MatrixDef, MATRICES};
 pub use scenario::{derive_seed, Scenario};
 pub use sink::{CsvSink, JsonSink};
 pub use telemetry::{

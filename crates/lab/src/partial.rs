@@ -548,7 +548,7 @@ mod json {
     }
 
     pub fn parse(text: &str) -> Result<Value, PartialError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         let value = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -558,6 +558,7 @@ mod json {
     }
 
     struct Parser<'a> {
+        text: &'a str,
         bytes: &'a [u8],
         pos: usize,
     }
@@ -682,14 +683,15 @@ mod json {
                         self.pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar (the input is a &str,
-                        // so boundaries are valid by construction).
-                        let rest = &self.bytes[self.pos..];
-                        let s =
-                            std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                        let c = s.chars().next().expect("non-empty");
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                        // Copy the whole run up to the next quote or
+                        // backslash. Both are ASCII, so the run starts and
+                        // ends on char boundaries of the `&str` input.
+                        let run = self.bytes[self.pos..]
+                            .iter()
+                            .position(|b| matches!(b, b'"' | b'\\'))
+                            .unwrap_or(self.bytes.len() - self.pos);
+                        out.push_str(&self.text[self.pos..self.pos + run]);
+                        self.pos += run;
                     }
                 }
             }
@@ -723,6 +725,21 @@ mod tests {
             let parsed = PartialSweep::parse(&partial.render()).expect("round trip");
             assert_eq!(parsed, partial);
         }
+    }
+
+    #[test]
+    fn non_ascii_and_escaped_strings_round_trip() {
+        let mut partial = smoke_partials(1).remove(0);
+        partial.matrix = "größe→\"q\"\\n".to_string();
+        partial.cells[0].id = "tab\there\nline\u{1}ctl/😀".to_string();
+        partial.cells[0].workload = "ünïcode only".to_string();
+        partial.cells[0].config = "\\\"\\".to_string();
+        let parsed = PartialSweep::parse(&partial.render()).expect("round trip");
+        assert_eq!(parsed, partial);
+        // `\/` and `\uXXXX` are accepted on input even though the renderer
+        // never emits them.
+        let value = json::parse(r#"{"s": "a\/b\u00e9c€"}"#).expect("valid JSON");
+        assert_eq!(value.str_field("s").unwrap(), "a/béc€");
     }
 
     #[test]

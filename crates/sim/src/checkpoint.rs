@@ -21,8 +21,9 @@ use crate::report::PolicyChange;
 
 /// File magic of the serialized checkpoint format.
 const MAGIC: [u8; 4] = *b"LBCP";
-/// Version of the serialized checkpoint format.
-const VERSION: u32 = 1;
+/// Version of the serialized checkpoint format. (`2` stores the systems'
+/// request-id counter ahead of the tracker's live ids, which it bounds.)
+const VERSION: u32 = 2;
 
 /// The state of a simulation paused at a monitoring-interval boundary.
 ///

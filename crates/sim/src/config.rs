@@ -113,26 +113,49 @@ impl SimulationConfig {
 
     /// Returns a copy with the cache's set count replaced (builder style).
     /// Together with [`SimulationConfig::with_cache_associativity`] this is
-    /// how scenario sweeps enumerate cache geometries.
+    /// how scenario sweeps enumerate cache geometries. On a tiered config
+    /// it resizes the hot tier.
     pub const fn with_cache_sets(mut self, num_sets: usize) -> Self {
         self.cache.num_sets = num_sets;
-        self
+        self.resync_hot_tier()
     }
 
     /// Returns a copy with the cache's ways-per-set replaced (builder
-    /// style).
+    /// style). On a tiered config it reshapes the hot tier.
     pub const fn with_cache_associativity(mut self, associativity: usize) -> Self {
         self.cache.associativity = associativity;
-        self
+        self.resync_hot_tier()
     }
 
     /// Returns a copy with the cache's replacement policy replaced (builder
-    /// style) — the `ReplacementKind` scenario axis. When a tier topology
-    /// is attached, this governs the flat fallback only; per-level
-    /// replacement lives in the topology.
+    /// style) — the `ReplacementKind` scenario axis. On a tiered config it
+    /// governs the hot tier; lower levels keep their own replacement.
     pub const fn with_replacement(mut self, replacement: ReplacementKind) -> Self {
         self.cache.replacement = replacement;
-        self
+        self.resync_hot_tier()
+    }
+
+    /// Writes the flat cache fields back into the topology's hot tier, so
+    /// the flat-cache builders take effect on the tiered datapath too (which
+    /// reads only the topology). A no-op for flat configurations.
+    const fn resync_hot_tier(self) -> Self {
+        let Some(tiers) = self.tiers else {
+            return self;
+        };
+        let hot = TierLevelSpec::new(self.cache, self.cache_device, self.ssd_parallelism);
+        let mut rebuilt = TierTopology::single(hot);
+        let mut level = 1;
+        while level < tiers.len() {
+            rebuilt = rebuilt.push_level(*tiers.level(level));
+            level += 1;
+        }
+        self.with_tiers(
+            rebuilt
+                .with_placement(tiers.placement)
+                .with_promotion(tiers.promotion)
+                .with_demotion(tiers.demotion)
+                .with_inclusion(tiers.inclusion),
+        )
     }
 
     /// Returns a copy with the disk-subsystem device model replaced
@@ -146,7 +169,7 @@ impl SimulationConfig {
     /// The flat cache fields are re-synced from the topology's hot tier so
     /// that capacity accessors and one-level topologies stay coherent with
     /// the flat path.
-    pub fn with_tiers(mut self, tiers: TierTopology) -> Self {
+    pub const fn with_tiers(mut self, tiers: TierTopology) -> Self {
         let hot = *tiers.level(0);
         self.cache = hot.cache;
         self.cache_device = hot.device;
@@ -248,11 +271,11 @@ impl SimulationConfig {
     }
 
     /// Returns a copy with the service parallelism of both tiers replaced
-    /// (builder style).
+    /// (builder style). On a tiered config `ssd` applies to the hot tier.
     pub const fn with_parallelism(mut self, ssd: usize, disk: usize) -> Self {
         self.ssd_parallelism = ssd;
         self.disk_parallelism = disk;
-        self
+        self.resync_hot_tier()
     }
 
     /// Total cache capacity in blocks: `num_sets × associativity` for the
@@ -351,6 +374,34 @@ mod tests {
         // Hot-tier policies re-sync the flat cache fields via with_tiers.
         let wo_hot = base.with_tier_level_policy(0, WritePolicy::WriteOnly);
         assert_eq!(wo_hot.cache.initial_policy, WritePolicy::WriteOnly);
+    }
+
+    #[test]
+    fn flat_cache_builders_reshape_the_hot_tier_of_a_hierarchy() {
+        let base = SimulationConfig::tiny_two_tier()
+            .with_tier_inclusion(InclusionPolicy::Inclusive)
+            .with_tier_level_policy(1, WritePolicy::WriteThrough);
+        let changed = base
+            .with_cache_sets(64)
+            .with_cache_associativity(8)
+            .with_replacement(ReplacementKind::Fifo)
+            .with_parallelism(3, 6);
+        let tiers = changed.tiers.unwrap();
+        let hot = tiers.level(0);
+        assert_eq!(hot.cache.num_sets, 64);
+        assert_eq!(hot.cache.associativity, 8);
+        assert_eq!(hot.cache.replacement, ReplacementKind::Fifo);
+        assert_eq!(hot.parallelism, 3);
+        assert_eq!(changed.cache, hot.cache);
+        assert_eq!(changed.disk_parallelism, 6);
+        // The lower level and the hierarchy's policies are untouched.
+        assert_eq!(tiers.len(), 2);
+        assert_eq!(tiers.level(1), base.tiers.unwrap().level(1));
+        assert_eq!(tiers.level(1).write_policy(), WritePolicy::WriteThrough);
+        assert_eq!(tiers.inclusion, InclusionPolicy::Inclusive);
+        assert_eq!(changed.cache_capacity_blocks(), 64 * 8 + 2_048);
+        // Flat configs keep having no topology.
+        assert!(SimulationConfig::tiny().with_cache_sets(64).tiers.is_none());
     }
 
     #[test]

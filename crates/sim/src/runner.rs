@@ -1,19 +1,26 @@
 //! The per-workload simulation driver.
 
+use std::ops::Range;
+
+use lbica_cache::{CacheStats, WritePolicy};
 use lbica_obs::{NoProf, Phase, PhaseProfiler, PhaseSink, QueueTier, SimObserver};
 use lbica_trace::workload::WorkloadSpec;
 
 use crate::arena::SimArena;
 use crate::checkpoint::ReplayCheckpoint;
 use crate::config::SimulationConfig;
-use crate::controller::{CacheController, ControllerContext, TierLoad};
-use crate::report::{PolicyChange, SimulationReport};
+use crate::controller::{
+    BypassDirective, CacheController, ControllerContext, ControllerDecision, TierLoad,
+};
+use crate::report::{PolicyChange, SimPerf, SimulationReport, TierLevelStats};
 use crate::system::StorageSystem;
 use crate::tiered::TieredStorageSystem;
+use crate::tracker::AppTracker;
 
 use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
 use lbica_storage::time::SimTime;
 use lbica_trace::monitor::IntervalReport;
+use lbica_trace::record::TraceRecord;
 
 /// Drives one [`WorkloadSpec`] through a [`StorageSystem`] under a
 /// [`CacheController`], interval by interval, producing a
@@ -31,6 +38,82 @@ pub struct Simulation {
     drain_at_end: bool,
     observer: Option<SimObserver>,
     profiler: Option<PhaseProfiler>,
+}
+
+/// The steps of the interval loop in which the flat [`StorageSystem`] and
+/// the N-level [`TieredStorageSystem`] differ. The one loop is generic over
+/// this trait, so each system gets its own monomorphized copy and no call
+/// on the per-interval or per-event path is dynamic.
+pub(crate) trait Datapath: Sized {
+    /// Takes a system for `config` from `arena`: the stored one, reset,
+    /// when its config matches; a freshly built one otherwise.
+    fn take(arena: &mut SimArena, config: &SimulationConfig) -> Self;
+    /// Returns the system to `arena` for the next run of `config`.
+    fn store(self, arena: &mut SimArena, config: SimulationConfig);
+    /// Assigns the controller's initial policy and returns the run's first
+    /// Fig. 6 policy label.
+    fn start(&mut self, policy: WritePolicy) -> String;
+    /// Schedules the arrival of one application request.
+    fn schedule_record(&mut self, record: &TraceRecord);
+    /// Runs the event loop up to `limit`.
+    fn run_until_with<P: PhaseSink>(&mut self, limit: SimTime, prof: &mut P);
+    /// Drains outstanding work in at most `max_steps` 100 ms steps.
+    fn drain_with<P: PhaseSink>(&mut self, max_steps: u32, prof: &mut P);
+    /// Closes interval `index` and refills `tier_loads` with the per-level
+    /// loads handed to the controller (left empty on the flat system).
+    fn close_interval<P: PhaseSink>(
+        &mut self,
+        index: u32,
+        tier_loads: &mut Vec<TierLoad>,
+        prof: &mut P,
+    ) -> IntervalReport;
+    /// The controller's view of the system at the end of interval `index`.
+    fn context<'a>(
+        &'a self,
+        index: u32,
+        report: &IntervalReport,
+        tier_loads: &'a [TierLoad],
+    ) -> ControllerContext<'a>;
+    /// Applies the decision's write policy; returns the new Fig. 6 label
+    /// when the assignment changed.
+    fn apply_policy(&mut self, decision: &ControllerDecision) -> Option<String>;
+    /// Applies a bypass directive and returns `(bypassed, spilled_writes,
+    /// spilled_reads)`: the requests reclassified to the disk, and those
+    /// re-homed at a lower cache level instead.
+    fn bypass(&mut self, directive: &BypassDirective) -> (u64, u64, u64);
+    /// Cumulative (promotions, demotions) over every cache level.
+    fn movement_totals(&self) -> (u64, u64);
+    /// The application-request accounting.
+    fn app(&self) -> &AppTracker;
+    /// The event loop's deterministic work counters.
+    fn perf(&self) -> SimPerf;
+    /// The headline cache stats: the level every application request is
+    /// judged against (the hot tier of a hierarchy).
+    fn cache_stats(&self) -> CacheStats;
+    /// The per-level breakdown (empty on the flat system).
+    fn tier_stats(&self) -> Vec<TierLevelStats>;
+    /// Serializes the mid-flight state for a replay checkpoint.
+    fn snap_to(&self, w: &mut SnapWriter);
+    /// Restores state written by [`Datapath::snap_to`].
+    fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+/// What a run accumulates interval by interval, and what a checkpoint
+/// carries across its split.
+struct Progress {
+    intervals: Vec<IntervalReport>,
+    policy_changes: Vec<PolicyChange>,
+    bypassed_total: u64,
+}
+
+impl Progress {
+    fn start(first_label: String, capacity: u32) -> Self {
+        Progress {
+            intervals: Vec::with_capacity(capacity as usize),
+            policy_changes: vec![PolicyChange { interval: 0, policy: first_label }],
+            bypassed_total: 0,
+        }
+    }
 }
 
 impl Simulation {
@@ -121,358 +204,41 @@ impl Simulation {
         // `take_profiler`).
         match self.profiler.take() {
             Some(mut prof) => {
-                let report = if self.config.is_tiered() {
-                    self.run_tiered(controller, arena, &mut prof)
-                } else {
-                    self.run_flat(controller, arena, &mut prof)
-                };
+                let report = self.run_with(controller, arena, &mut prof);
                 self.profiler = Some(prof);
                 report
             }
-            None => {
-                if self.config.is_tiered() {
-                    self.run_tiered(controller, arena, &mut NoProf)
-                } else {
-                    self.run_flat(controller, arena, &mut NoProf)
-                }
-            }
+            None => self.run_with(controller, arena, &mut NoProf),
         }
     }
 
-    /// The flat-datapath interval loop (see [`Simulation::run_in`]).
-    fn run_flat<P: PhaseSink>(
+    fn run_with<P: PhaseSink>(
         &mut self,
         controller: &mut dyn CacheController,
         arena: &mut SimArena,
         prof: &mut P,
     ) -> SimulationReport {
-        let mut system = arena.take_flat(&self.config);
-        system.set_policy(controller.initial_policy());
-
-        let total_intervals = self.spec.total_intervals();
-        let interval_us = self.spec.interval_us();
-        let mut intervals = Vec::with_capacity(total_intervals as usize);
-        let mut policy_changes = vec![PolicyChange {
-            interval: 0,
-            policy: controller.initial_policy().label().to_string(),
-        }];
-        let mut bypassed_total = 0u64;
-
-        for index in 0..total_intervals {
-            // 1. Feed the interval's arrivals and run the event loop to the
-            //    interval boundary.
-            let mark = prof.mark();
-            for record in self.spec.generate_interval(index, self.seed) {
-                system.schedule_record(&record);
-            }
-            prof.record(Phase::EventQueue, mark);
-            let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
-            system.run_until_with(boundary, prof);
-
-            // 2. Gather the iostat/blktrace measurements for the interval.
-            let mark = prof.mark();
-            let mut report = system.end_interval(index);
-            prof.record(Phase::Report, mark);
-
-            // 3. Consult the controller and apply its decision.
-            let mark = prof.mark();
-            let decision = {
-                let ctx = ControllerContext {
-                    interval_index: index,
-                    now: system.now(),
-                    cache_queue_depth: report.cache.queue_depth,
-                    disk_queue_depth: report.disk.queue_depth,
-                    cache_avg_latency: system.cache_avg_latency(),
-                    disk_avg_latency: system.disk_avg_latency(),
-                    cache_queue_mix: report.cache_queue_mix,
-                    current_policy: system.policy(),
-                    cache_queue: system.cache_queue(),
-                    tier_loads: &[],
-                    tier_policies: &[],
-                };
-                controller.on_interval(&ctx)
-            };
-
-            report.burst_detected = decision.burst_detected;
-            let policy_switched = decision.policy != system.policy();
-            if policy_switched {
-                system.set_policy(decision.policy);
-                policy_changes.push(PolicyChange {
-                    interval: index + 1,
-                    policy: decision.policy.label().to_string(),
-                });
-            }
-            let moved = system.apply_bypass(&decision.bypass) as u64;
-            bypassed_total += moved;
-            prof.record(Phase::Controller, mark);
-
-            // Out-of-band observability: reads interval measurements, never
-            // feeds anything back into the system or the report.
-            if let Some(obs) = self.observer.as_mut() {
-                let start_us = index as u64 * interval_us;
-                let end_us = start_us + interval_us;
-                obs.interval_rollover(
-                    index,
-                    start_us,
-                    interval_us,
-                    report.cache.completed,
-                    report.disk.completed,
-                );
-                obs.queue_high_water(
-                    end_us,
-                    index,
-                    QueueTier::Cache,
-                    report.cache.peak_queue_depth as u64,
-                );
-                obs.queue_high_water(
-                    end_us,
-                    index,
-                    QueueTier::Disk,
-                    report.disk.peak_queue_depth as u64,
-                );
-                if decision.burst_detected {
-                    obs.burst(end_us, index);
-                }
-                if policy_switched {
-                    obs.policy_change(end_us, index + 1, decision.policy.label());
-                }
-                obs.bypass(end_us, index, moved);
-            }
-
-            intervals.push(report);
+        if self.config.is_tiered() {
+            self.run_on::<TieredStorageSystem, P>(controller, arena, prof)
+        } else {
+            self.run_on::<StorageSystem, P>(controller, arena, prof)
         }
-
-        if self.drain_at_end {
-            // Let in-flight and queued requests finish so aggregate latencies
-            // cover the whole workload. 600 × 100 ms = 60 simulated seconds,
-            // a hard cap: a backlog the system cannot clear in that window
-            // is truncated rather than chased forever.
-            system.drain_with(600, prof);
-        }
-
-        if let Some(obs) = self.observer.as_mut() {
-            controller.export_obs(obs, interval_us);
-            obs.run_totals(
-                system.events_processed(),
-                system.app_completed(),
-                system.peak_event_queue_depth() as u64,
-            );
-            obs.observe_app_latency(system.app_latency_histogram());
-        }
-
-        let mark = prof.mark();
-        let report = SimulationReport {
-            workload: self.spec.name().to_string(),
-            controller: controller.name().to_string(),
-            total_intervals,
-            intervals,
-            policy_changes,
-            app_completed: system.app_completed(),
-            app_avg_latency_us: system.app_avg_latency_us(),
-            app_max_latency_us: system.app_max_latency_us(),
-            app_p50_latency_us: system.app_percentile_us(50.0),
-            app_p95_latency_us: system.app_percentile_us(95.0),
-            app_p99_latency_us: system.app_percentile_us(99.0),
-            bypassed_requests: bypassed_total,
-            cache_stats: *system.cache().stats(),
-            perf: crate::report::SimPerf {
-                events_processed: system.events_processed(),
-                peak_event_queue_depth: system.peak_event_queue_depth(),
-            },
-            tier_stats: Vec::new(),
-        };
-        prof.record(Phase::Report, mark);
-        arena.store_flat(self.config, system);
-        report
     }
 
-    /// The tiered-datapath twin of [`Simulation::run`]: same interval loop,
-    /// same controller protocol, but the system is an N-level hierarchy and
-    /// the controller additionally sees the per-level tier-load vector (so
-    /// tier-aware balancers can answer with spill directives).
-    ///
-    /// The loop is deliberately duplicated rather than abstracted over the
-    /// two system types: the flat path is pinned bit-identical to the seed
-    /// by the figure characterization tests, and keeping it monomorphic and
-    /// untouched is the cheapest way to guarantee that. (Both loops are
-    /// generic over the [`PhaseSink`] only — the `NoProf` instantiation
-    /// compiles to the uninstrumented loop.) Changes to the interval
-    /// protocol must be applied to both loops.
-    fn run_tiered<P: PhaseSink>(
+    /// [`Simulation::run_in`] on one datapath: every interval, then the
+    /// drain and the report.
+    fn run_on<S: Datapath, P: PhaseSink>(
         &mut self,
         controller: &mut dyn CacheController,
         arena: &mut SimArena,
         prof: &mut P,
     ) -> SimulationReport {
-        let mut system = arena.take_tiered(&self.config);
-        // On an explicitly per-tier topology `set_policy` drives the hot
-        // tier only (lower levels are config-pinned; see
-        // `TieredCacheModule::set_policy`), so a configured warm-tier
-        // policy survives run start, every burst switch and every revert.
-        system.set_policy(controller.initial_policy());
-
-        let total_intervals = self.spec.total_intervals();
-        let interval_us = self.spec.interval_us();
-        let mut intervals = Vec::with_capacity(total_intervals as usize);
-        let mut policy_changes =
-            vec![PolicyChange { interval: 0, policy: tier_policy_label(system.level_policies()) }];
-        let mut bypassed_total = 0u64;
-        let mut tier_loads: Vec<TierLoad> = Vec::with_capacity(system.tier_count());
-        // Cumulative (promotions, demotions) at the last observed interval,
-        // so the observer can trace per-interval movement deltas.
-        let mut observed_moves = (0u64, 0u64);
-
-        for index in 0..total_intervals {
-            let mark = prof.mark();
-            for record in self.spec.generate_interval(index, self.seed) {
-                system.schedule_record(&record);
-            }
-            prof.record(Phase::EventQueue, mark);
-            let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
-            system.run_until_with(boundary, prof);
-
-            let mut report = system.end_interval_with(index, prof);
-            let mark = prof.mark();
-            system.tier_loads_into(&mut tier_loads);
-            prof.record(Phase::Report, mark);
-
-            let mark = prof.mark();
-            let decision = {
-                let ctx = ControllerContext {
-                    interval_index: index,
-                    now: system.now(),
-                    cache_queue_depth: report.cache.queue_depth,
-                    disk_queue_depth: report.disk.queue_depth,
-                    cache_avg_latency: system.cache_avg_latency(),
-                    disk_avg_latency: system.disk_avg_latency(),
-                    cache_queue_mix: report.cache_queue_mix,
-                    current_policy: system.policy(),
-                    cache_queue: system.cache_queue(),
-                    tier_loads: &tier_loads,
-                    tier_policies: system.level_policies(),
-                };
-                controller.on_interval(&ctx)
-            };
-
-            report.burst_detected = decision.burst_detected;
-            let mut policy_switched = false;
-            if decision.tier_policies.is_empty() {
-                // The paper's single policy knob (which drives the hot tier
-                // only on an explicitly per-tier stack); the recorded label
-                // is the resulting hot-to-cold assignment.
-                if decision.policy != system.policy() {
-                    system.set_policy(decision.policy);
-                    policy_changes.push(PolicyChange {
-                        interval: index + 1,
-                        policy: tier_policy_label(system.level_policies()),
-                    });
-                    policy_switched = true;
-                }
-            } else if system.level_policies() != decision.tier_policies.as_slice() {
-                // Tier-aware assignment: one policy per level, recorded as
-                // a composite hot-to-cold label (e.g. "WO/WB").
-                system.set_level_policies(&decision.tier_policies);
-                policy_changes.push(PolicyChange {
-                    interval: index + 1,
-                    policy: tier_policy_label(&decision.tier_policies),
-                });
-                policy_switched = true;
-            }
-            // `bypassed_requests` keeps its flat-path meaning — requests
-            // reclassified *to the disk*. Spills (write and read alike)
-            // stay in the hierarchy and are accounted separately
-            // (tier_stats / spilled_requests() / spilled_reads()).
-            let spilled_writes_before = system.spilled_requests();
-            let spilled_reads_before = system.spilled_reads();
-            let moved = system.apply_bypass(&decision.bypass) as u64;
-            let spill_writes = system.spilled_requests() - spilled_writes_before;
-            let spill_reads = system.spilled_reads() - spilled_reads_before;
-            bypassed_total += moved - (spill_writes + spill_reads);
-            prof.record(Phase::Controller, mark);
-
-            // Out-of-band observability, mirroring the flat loop plus the
-            // tier-movement events only this datapath can produce.
-            if let Some(obs) = self.observer.as_mut() {
-                let start_us = index as u64 * interval_us;
-                let end_us = start_us + interval_us;
-                obs.interval_rollover(
-                    index,
-                    start_us,
-                    interval_us,
-                    report.cache.completed,
-                    report.disk.completed,
-                );
-                obs.queue_high_water(
-                    end_us,
-                    index,
-                    QueueTier::Cache,
-                    report.cache.peak_queue_depth as u64,
-                );
-                obs.queue_high_water(
-                    end_us,
-                    index,
-                    QueueTier::Disk,
-                    report.disk.peak_queue_depth as u64,
-                );
-                if decision.burst_detected {
-                    obs.burst(end_us, index);
-                }
-                if policy_switched {
-                    let label = &policy_changes.last().expect("just pushed").policy;
-                    obs.policy_change(end_us, index + 1, label);
-                }
-                obs.bypass(end_us, index, moved - (spill_writes + spill_reads));
-                obs.spill_writes(end_us, index, spill_writes);
-                obs.spill_reads(end_us, index, spill_reads);
-                let (promotions, demotions) = system.movement_totals();
-                obs.promotions(end_us, index, promotions - observed_moves.0);
-                obs.demotions(end_us, index, demotions - observed_moves.1);
-                observed_moves = (promotions, demotions);
-            }
-
-            intervals.push(report);
-        }
-
-        if self.drain_at_end {
-            system.drain_with(600, prof);
-        }
-
-        if let Some(obs) = self.observer.as_mut() {
-            controller.export_obs(obs, interval_us);
-            obs.run_totals(
-                system.events_processed(),
-                system.app_completed(),
-                system.peak_event_queue_depth() as u64,
-            );
-            obs.observe_app_latency(system.app_latency_histogram());
-        }
-
-        // The headline cache stats stay hot-tier shaped (hit/miss/bypass of
-        // the level every application request is judged against); the full
-        // per-level breakdown rides in `tier_stats`.
-        let mark = prof.mark();
-        let report = SimulationReport {
-            workload: self.spec.name().to_string(),
-            controller: controller.name().to_string(),
-            total_intervals,
-            intervals,
-            policy_changes,
-            app_completed: system.app_completed(),
-            app_avg_latency_us: system.app_avg_latency_us(),
-            app_max_latency_us: system.app_max_latency_us(),
-            app_p50_latency_us: system.app_percentile_us(50.0),
-            app_p95_latency_us: system.app_percentile_us(95.0),
-            app_p99_latency_us: system.app_percentile_us(99.0),
-            bypassed_requests: bypassed_total,
-            cache_stats: *system.cache().stats(0),
-            perf: crate::report::SimPerf {
-                events_processed: system.events_processed(),
-                peak_event_queue_depth: system.peak_event_queue_depth(),
-            },
-            tier_stats: system.tier_level_stats(),
-        };
-        prof.record(Phase::Report, mark);
-        arena.store_tiered(self.config, system);
+        let mut system = S::take(arena, &self.config);
+        let total = self.spec.total_intervals();
+        let mut progress = Progress::start(system.start(controller.initial_policy()), total);
+        self.run_intervals(&mut system, controller, 0..total, &mut progress, prof);
+        let report = self.finish(&mut system, controller, progress, prof);
+        system.store(arena, self.config);
         report
     }
 
@@ -494,66 +260,39 @@ impl Simulation {
         if self.observer.is_some() || self.profiler.is_some() {
             return Err(SnapError::Corrupt("checkpoint runs execute unobserved"));
         }
-        let total_intervals = self.spec.total_intervals();
-        if split_at > total_intervals {
+        if split_at > self.spec.total_intervals() {
             return Err(SnapError::Corrupt("checkpoint split beyond workload end"));
         }
-        let tiered = self.config.is_tiered();
-        let mut arena = SimArena::new();
-        let mut intervals = Vec::with_capacity(split_at as usize);
-        let mut bypassed_total = 0u64;
-        let mut w = SnapWriter::new();
-        let policy_changes;
-        if tiered {
-            let mut system = arena.take_tiered(&self.config);
-            system.set_policy(controller.initial_policy());
-            let mut changes = vec![PolicyChange {
-                interval: 0,
-                policy: tier_policy_label(system.level_policies()),
-            }];
-            self.tiered_span(
-                &mut system,
-                controller,
-                0,
-                split_at,
-                &mut intervals,
-                &mut changes,
-                &mut bypassed_total,
-            );
-            policy_changes = changes;
-            system.snap_to(&mut w);
+        Ok(if self.config.is_tiered() {
+            self.checkpoint_on::<TieredStorageSystem>(controller, split_at)
         } else {
-            let mut system = arena.take_flat(&self.config);
-            system.set_policy(controller.initial_policy());
-            let mut changes = vec![PolicyChange {
-                interval: 0,
-                policy: controller.initial_policy().label().to_string(),
-            }];
-            self.flat_span(
-                &mut system,
-                controller,
-                0,
-                split_at,
-                &mut intervals,
-                &mut changes,
-                &mut bypassed_total,
-            );
-            policy_changes = changes;
-            system.snap_to(&mut w);
-        }
+            self.checkpoint_on::<StorageSystem>(controller, split_at)
+        })
+    }
+
+    fn checkpoint_on<S: Datapath>(
+        &mut self,
+        controller: &mut dyn CacheController,
+        split_at: u32,
+    ) -> ReplayCheckpoint {
+        let mut system = S::take(&mut SimArena::new(), &self.config);
+        let mut progress = Progress::start(system.start(controller.initial_policy()), split_at);
+        self.run_intervals(&mut system, controller, 0..split_at, &mut progress, &mut NoProf);
+        let mut w = SnapWriter::new();
+        system.snap_to(&mut w);
         controller.save_state(&mut w);
-        Ok(ReplayCheckpoint {
+        ReplayCheckpoint {
             workload: self.spec.name().to_string(),
             controller: controller.name().to_string(),
             seed: self.seed,
-            tiered,
+            tiered: self.config.is_tiered(),
             next_interval: split_at,
-            total_intervals,
-            bypassed_total,
-            intervals,
-            policy_changes,
+            total_intervals: self.spec.total_intervals(),
+            bypassed_total: progress.bypassed_total,
+            intervals: progress.intervals,
+            policy_changes: progress.policy_changes,
             state: w.into_bytes(),
-        })
+        }
     }
 
     /// Continues a run paused by [`Simulation::run_to_checkpoint`], restoring
@@ -591,222 +330,172 @@ impl Simulation {
         if cp.next_interval > cp.total_intervals {
             return Err(SnapError::Corrupt("checkpoint interval beyond workload end"));
         }
-        let mut arena = SimArena::new();
-        let mut intervals = cp.intervals.clone();
-        let mut policy_changes = cp.policy_changes.clone();
-        let mut bypassed_total = cp.bypassed_total;
-        let mut r = SnapReader::new(&cp.state);
         if cp.tiered {
-            let mut system = arena.take_tiered(&self.config);
-            // The restored cache carries the checkpointed write policy;
-            // `set_policy(initial)` is deliberately *not* replayed.
-            system.snap_state_from(&mut r)?;
-            controller.restore_state(&mut r)?;
-            r.finish()?;
-            self.tiered_span(
-                &mut system,
-                controller,
-                cp.next_interval,
-                cp.total_intervals,
-                &mut intervals,
-                &mut policy_changes,
-                &mut bypassed_total,
-            );
-            if self.drain_at_end {
-                system.drain_with(600, &mut NoProf);
-            }
-            Ok(SimulationReport {
-                workload: self.spec.name().to_string(),
-                controller: controller.name().to_string(),
-                total_intervals: cp.total_intervals,
-                intervals,
-                policy_changes,
-                app_completed: system.app_completed(),
-                app_avg_latency_us: system.app_avg_latency_us(),
-                app_max_latency_us: system.app_max_latency_us(),
-                app_p50_latency_us: system.app_percentile_us(50.0),
-                app_p95_latency_us: system.app_percentile_us(95.0),
-                app_p99_latency_us: system.app_percentile_us(99.0),
-                bypassed_requests: bypassed_total,
-                cache_stats: *system.cache().stats(0),
-                perf: crate::report::SimPerf {
-                    events_processed: system.events_processed(),
-                    peak_event_queue_depth: system.peak_event_queue_depth(),
-                },
-                tier_stats: system.tier_level_stats(),
-            })
+            self.resume_on::<TieredStorageSystem>(controller, cp)
         } else {
-            let mut system = arena.take_flat(&self.config);
-            system.snap_state_from(&mut r)?;
-            controller.restore_state(&mut r)?;
-            r.finish()?;
-            self.flat_span(
-                &mut system,
-                controller,
-                cp.next_interval,
-                cp.total_intervals,
-                &mut intervals,
-                &mut policy_changes,
-                &mut bypassed_total,
-            );
-            if self.drain_at_end {
-                system.drain_with(600, &mut NoProf);
-            }
-            Ok(SimulationReport {
-                workload: self.spec.name().to_string(),
-                controller: controller.name().to_string(),
-                total_intervals: cp.total_intervals,
-                intervals,
-                policy_changes,
-                app_completed: system.app_completed(),
-                app_avg_latency_us: system.app_avg_latency_us(),
-                app_max_latency_us: system.app_max_latency_us(),
-                app_p50_latency_us: system.app_percentile_us(50.0),
-                app_p95_latency_us: system.app_percentile_us(95.0),
-                app_p99_latency_us: system.app_percentile_us(99.0),
-                bypassed_requests: bypassed_total,
-                cache_stats: *system.cache().stats(),
-                perf: crate::report::SimPerf {
-                    events_processed: system.events_processed(),
-                    peak_event_queue_depth: system.peak_event_queue_depth(),
-                },
-                tier_stats: Vec::new(),
-            })
+            self.resume_on::<StorageSystem>(controller, cp)
         }
     }
 
-    /// Intervals `[start, end)` of the flat loop, shared by the two
-    /// checkpoint paths. The body mirrors [`Simulation::run_flat`] step for
-    /// step (minus profiling and observability, which checkpointed runs do
-    /// not support) — the pinned `run_flat` datapath itself stays untouched.
-    #[allow(clippy::too_many_arguments)]
-    fn flat_span(
+    fn resume_on<S: Datapath>(
         &mut self,
-        system: &mut StorageSystem,
         controller: &mut dyn CacheController,
-        start: u32,
-        end: u32,
-        intervals: &mut Vec<IntervalReport>,
-        policy_changes: &mut Vec<PolicyChange>,
-        bypassed_total: &mut u64,
-    ) {
-        let interval_us = self.spec.interval_us();
-        for index in start..end {
-            for record in self.spec.generate_interval(index, self.seed) {
-                system.schedule_record(&record);
-            }
-            let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
-            system.run_until_with(boundary, &mut NoProf);
-
-            let mut report = system.end_interval(index);
-            let decision = {
-                let ctx = ControllerContext {
-                    interval_index: index,
-                    now: system.now(),
-                    cache_queue_depth: report.cache.queue_depth,
-                    disk_queue_depth: report.disk.queue_depth,
-                    cache_avg_latency: system.cache_avg_latency(),
-                    disk_avg_latency: system.disk_avg_latency(),
-                    cache_queue_mix: report.cache_queue_mix,
-                    current_policy: system.policy(),
-                    cache_queue: system.cache_queue(),
-                    tier_loads: &[],
-                    tier_policies: &[],
-                };
-                controller.on_interval(&ctx)
-            };
-
-            report.burst_detected = decision.burst_detected;
-            if decision.policy != system.policy() {
-                system.set_policy(decision.policy);
-                policy_changes.push(PolicyChange {
-                    interval: index + 1,
-                    policy: decision.policy.label().to_string(),
-                });
-            }
-            *bypassed_total += system.apply_bypass(&decision.bypass) as u64;
-            intervals.push(report);
-        }
+        cp: &ReplayCheckpoint,
+    ) -> Result<SimulationReport, SnapError> {
+        let mut system = S::take(&mut SimArena::new(), &self.config);
+        // The restored cache carries the checkpointed write policy;
+        // `start(initial)` is deliberately *not* replayed.
+        let mut r = SnapReader::new(&cp.state);
+        system.snap_state_from(&mut r)?;
+        controller.restore_state(&mut r)?;
+        r.finish()?;
+        let mut progress = Progress {
+            intervals: cp.intervals.clone(),
+            policy_changes: cp.policy_changes.clone(),
+            bypassed_total: cp.bypassed_total,
+        };
+        let span = cp.next_interval..cp.total_intervals;
+        self.run_intervals(&mut system, controller, span, &mut progress, &mut NoProf);
+        Ok(self.finish(&mut system, controller, progress, &mut NoProf))
     }
 
-    /// Intervals `[start, end)` of the tiered loop, shared by the two
-    /// checkpoint paths (the twin of [`Simulation::flat_span`]; mirrors
-    /// [`Simulation::run_tiered`]).
-    #[allow(clippy::too_many_arguments)]
-    fn tiered_span(
+    /// The paper's control loop over the intervals in `span`.
+    fn run_intervals<S: Datapath, P: PhaseSink>(
         &mut self,
-        system: &mut TieredStorageSystem,
+        system: &mut S,
         controller: &mut dyn CacheController,
-        start: u32,
-        end: u32,
-        intervals: &mut Vec<IntervalReport>,
-        policy_changes: &mut Vec<PolicyChange>,
-        bypassed_total: &mut u64,
+        span: Range<u32>,
+        progress: &mut Progress,
+        prof: &mut P,
     ) {
         let interval_us = self.spec.interval_us();
-        let mut tier_loads: Vec<TierLoad> = Vec::with_capacity(system.tier_count());
-        for index in start..end {
+        let mut tier_loads = Vec::new();
+        // Cumulative (promotions, demotions) at the last observed interval,
+        // so the observer can trace per-interval movement deltas.
+        let mut observed_moves = (0u64, 0u64);
+
+        for index in span {
+            // 1. Feed the interval's arrivals and run the event loop to the
+            //    interval boundary.
+            let mark = prof.mark();
             for record in self.spec.generate_interval(index, self.seed) {
                 system.schedule_record(&record);
             }
+            prof.record(Phase::EventQueue, mark);
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
-            system.run_until_with(boundary, &mut NoProf);
+            system.run_until_with(boundary, prof);
 
-            let mut report = system.end_interval_with(index, &mut NoProf);
-            system.tier_loads_into(&mut tier_loads);
+            // 2. Gather the iostat/blktrace measurements for the interval.
+            let mut report = system.close_interval(index, &mut tier_loads, prof);
 
-            let decision = {
-                let ctx = ControllerContext {
-                    interval_index: index,
-                    now: system.now(),
-                    cache_queue_depth: report.cache.queue_depth,
-                    disk_queue_depth: report.disk.queue_depth,
-                    cache_avg_latency: system.cache_avg_latency(),
-                    disk_avg_latency: system.disk_avg_latency(),
-                    cache_queue_mix: report.cache_queue_mix,
-                    current_policy: system.policy(),
-                    cache_queue: system.cache_queue(),
-                    tier_loads: &tier_loads,
-                    tier_policies: system.level_policies(),
-                };
-                controller.on_interval(&ctx)
-            };
-
+            // 3. Consult the controller and apply its decision.
+            let mark = prof.mark();
+            let decision = controller.on_interval(&system.context(index, &report, &tier_loads));
             report.burst_detected = decision.burst_detected;
-            if decision.tier_policies.is_empty() {
-                if decision.policy != system.policy() {
-                    system.set_policy(decision.policy);
-                    policy_changes.push(PolicyChange {
-                        interval: index + 1,
-                        policy: tier_policy_label(system.level_policies()),
-                    });
+            let policy_switched = match system.apply_policy(&decision) {
+                Some(policy) => {
+                    progress.policy_changes.push(PolicyChange { interval: index + 1, policy });
+                    true
                 }
-            } else if system.level_policies() != decision.tier_policies.as_slice() {
-                system.set_level_policies(&decision.tier_policies);
-                policy_changes.push(PolicyChange {
-                    interval: index + 1,
-                    policy: tier_policy_label(&decision.tier_policies),
-                });
+                None => false,
+            };
+            // `bypassed_requests` counts requests reclassified *to the
+            // disk*. Spills (write and read alike) stay in the hierarchy
+            // and are accounted separately (tier_stats).
+            let (bypassed, spill_writes, spill_reads) = system.bypass(&decision.bypass);
+            progress.bypassed_total += bypassed;
+            prof.record(Phase::Controller, mark);
+
+            // Out-of-band observability: reads interval measurements, never
+            // feeds anything back into the system or the report. The
+            // observer drops zero counts, so the flat system's (always
+            // zero) spills and tier movement leave no trace.
+            if let Some(obs) = self.observer.as_mut() {
+                let start_us = index as u64 * interval_us;
+                let end_us = start_us + interval_us;
+                let (cache, disk) = (&report.cache, &report.disk);
+                obs.interval_rollover(
+                    index,
+                    start_us,
+                    interval_us,
+                    cache.completed,
+                    disk.completed,
+                );
+                obs.queue_high_water(
+                    end_us,
+                    index,
+                    QueueTier::Cache,
+                    cache.peak_queue_depth as u64,
+                );
+                obs.queue_high_water(end_us, index, QueueTier::Disk, disk.peak_queue_depth as u64);
+                if decision.burst_detected {
+                    obs.burst(end_us, index);
+                }
+                if policy_switched {
+                    let label = &progress.policy_changes.last().expect("just pushed").policy;
+                    obs.policy_change(end_us, index + 1, label);
+                }
+                obs.bypass(end_us, index, bypassed);
+                obs.spill_writes(end_us, index, spill_writes);
+                obs.spill_reads(end_us, index, spill_reads);
+                let (promotions, demotions) = system.movement_totals();
+                obs.promotions(end_us, index, promotions - observed_moves.0);
+                obs.demotions(end_us, index, demotions - observed_moves.1);
+                observed_moves = (promotions, demotions);
             }
-            let spilled_writes_before = system.spilled_requests();
-            let spilled_reads_before = system.spilled_reads();
-            let moved = system.apply_bypass(&decision.bypass) as u64;
-            let spill_writes = system.spilled_requests() - spilled_writes_before;
-            let spill_reads = system.spilled_reads() - spilled_reads_before;
-            *bypassed_total += moved - (spill_writes + spill_reads);
-            intervals.push(report);
+
+            progress.intervals.push(report);
         }
     }
-}
 
-/// The Fig. 6-style label of a per-tier policy assignment: the plain policy
-/// label when every level agrees, a hot-to-cold `"WO/WB"` composite when
-/// they differ.
-fn tier_policy_label(policies: &[lbica_cache::WritePolicy]) -> String {
-    if policies.windows(2).all(|w| w[0] == w[1]) {
-        policies[0].label().to_string()
-    } else {
-        policies.iter().map(|p| p.label()).collect::<Vec<_>>().join("/")
+    /// Drains the tail, closes the observer's books and builds the report.
+    fn finish<S: Datapath, P: PhaseSink>(
+        &mut self,
+        system: &mut S,
+        controller: &mut dyn CacheController,
+        progress: Progress,
+        prof: &mut P,
+    ) -> SimulationReport {
+        if self.drain_at_end {
+            // Let in-flight and queued requests finish so aggregate latencies
+            // cover the whole workload. 600 × 100 ms = 60 simulated seconds,
+            // a hard cap: a backlog the system cannot clear in that window
+            // is truncated rather than chased forever.
+            system.drain_with(600, prof);
+        }
+
+        let app = system.app();
+        let perf = system.perf();
+        if let Some(obs) = self.observer.as_mut() {
+            controller.export_obs(obs, self.spec.interval_us());
+            obs.run_totals(
+                perf.events_processed,
+                app.completed(),
+                perf.peak_event_queue_depth as u64,
+            );
+            obs.observe_app_latency(app.latency_histogram());
+        }
+
+        let mark = prof.mark();
+        let report = SimulationReport {
+            workload: self.spec.name().to_string(),
+            controller: controller.name().to_string(),
+            total_intervals: self.spec.total_intervals(),
+            intervals: progress.intervals,
+            policy_changes: progress.policy_changes,
+            app_completed: app.completed(),
+            app_avg_latency_us: app.avg_latency_us(),
+            app_max_latency_us: app.max_latency_us(),
+            app_p50_latency_us: app.percentile_us(50.0),
+            app_p95_latency_us: app.percentile_us(95.0),
+            app_p99_latency_us: app.percentile_us(99.0),
+            bypassed_requests: progress.bypassed_total,
+            cache_stats: system.cache_stats(),
+            perf,
+            tier_stats: system.tier_stats(),
+        };
+        prof.record(Phase::Report, mark);
+        report
     }
 }
 
@@ -1145,6 +834,55 @@ mod tests {
             err,
             lbica_storage::snap::SnapError::Corrupt("checkpoint runs execute unobserved")
         );
+    }
+
+    #[test]
+    fn tiered_checkpoints_refuse_a_resized_hot_tier() {
+        let spec = WorkloadSpec::mail_server_scaled(WorkloadScale::tiny());
+        let cp = Simulation::new(SimulationConfig::tiny_two_tier(), spec.clone(), 7)
+            .run_to_checkpoint(&mut StaticPolicyController::write_back(), 2)
+            .unwrap();
+        let resized = SimulationConfig::tiny_two_tier().with_cache_sets(64);
+        let err = Simulation::new(resized, spec, 7)
+            .resume_from_checkpoint(&mut StaticPolicyController::write_back(), &cp)
+            .unwrap_err();
+        assert_eq!(err, SnapError::Corrupt("tier geometry mismatch"));
+    }
+
+    /// Restores a snapshot of `config`'s system whose one live request id
+    /// is overwritten with ids no allocation could index.
+    fn forged_live_ids_are_rejected<S: Datapath>(config: SimulationConfig) {
+        use lbica_storage::request::RequestKind;
+        let mut arena = SimArena::new();
+        let mut system = S::take(&mut arena, &config);
+        system.schedule_record(&TraceRecord::new(0, 0, 8, RequestKind::Write));
+        system.run_until_with(SimTime::from_micros(1), &mut NoProf);
+        assert_eq!(system.app().outstanding(), 1, "one request in flight");
+        let mut w = SnapWriter::new();
+        system.snap_to(&mut w);
+        let state = w.into_bytes();
+        let mut w = SnapWriter::new();
+        system.app().snap_to(&mut w);
+        let tracker = w.into_bytes();
+        // The tracker section ends with the live (id, arrival, ops) triple.
+        let id_at =
+            state.windows(tracker.len()).position(|s| s == tracker).unwrap() + tracker.len() - 20;
+        for forged in [1u64 << 40, u64::MAX] {
+            let mut bytes = state.clone();
+            bytes[id_at..id_at + 8].copy_from_slice(&forged.to_le_bytes());
+            let mut fresh = S::take(&mut arena, &config);
+            assert_eq!(
+                fresh.snap_state_from(&mut SnapReader::new(&bytes)),
+                Err(SnapError::Corrupt("live request id was never issued")),
+                "id {forged:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn forged_live_request_ids_are_typed_errors_on_both_datapaths() {
+        forged_live_ids_are_rejected::<StorageSystem>(SimulationConfig::tiny());
+        forged_live_ids_are_rejected::<TieredStorageSystem>(SimulationConfig::tiny_two_tier());
     }
 
     #[test]

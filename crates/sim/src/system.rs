@@ -1,18 +1,21 @@
 //! The simulated storage system: cache module + two device stations.
 
-use lbica_cache::{CacheModule, CacheOutcome, TargetDevice, WritePolicy};
+use lbica_cache::{CacheModule, CacheOutcome, CacheStats, TargetDevice, WritePolicy};
 use lbica_obs::{NoProf, Phase, PhaseSink};
 use lbica_storage::device::{AnyDeviceModel, DeviceModel, HddModel, SsdModel};
 use lbica_storage::queue::DeviceQueue;
 use lbica_storage::request::{IoRequest, RequestClass, RequestId, RequestOrigin};
 use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
 use lbica_storage::time::{SimDuration, SimTime};
-use lbica_trace::monitor::{BlktraceProbe, IostatCollector, Tier};
+use lbica_trace::monitor::{BlktraceProbe, IntervalReport, IostatCollector, Tier};
 use lbica_trace::record::TraceRecord;
 
+use crate::arena::SimArena;
 use crate::config::{DiskDeviceConfig, SimulationConfig};
-use crate::controller::BypassDirective;
+use crate::controller::{BypassDirective, ControllerContext, ControllerDecision, TierLoad};
 use crate::event::{EventKind, EventQueue};
+use crate::report::{SimPerf, TierLevelStats};
+use crate::runner::Datapath;
 use crate::tracker::AppTracker;
 
 /// Identifies one of the two device stations.
@@ -223,7 +226,7 @@ impl StorageSystem {
 
     /// Mean end-to-end latency of completed application requests, µs.
     pub fn app_avg_latency_us(&self) -> u64 {
-        self.app.total_latency_us().checked_div(self.app.completed()).unwrap_or(0)
+        self.app.avg_latency_us()
     }
 
     /// Maximum end-to-end latency of completed application requests, µs.
@@ -509,8 +512,8 @@ impl StorageSystem {
         self.disk.snap_to(w);
         self.events.snap_to(w);
         w.put_u64(self.clock.as_micros());
-        self.app.snap_to(w);
         w.put_u64(self.next_id);
+        self.app.snap_to(w);
         w.put_u64(self.events_processed);
         self.iostat.snap_to(w);
         self.probe.snap_to(w);
@@ -526,8 +529,8 @@ impl StorageSystem {
         self.disk.snap_state_from(r)?;
         self.events.snap_state_from(r)?;
         self.clock = SimTime::from_micros(r.get_u64()?);
-        self.app.snap_state_from(r)?;
         self.next_id = r.get_u64()?;
+        self.app.snap_state_below(r, self.next_id)?;
         self.events_processed = r.get_u64()?;
         self.iostat.snap_state_from(r)?;
         self.probe.snap_state_from(r)?;
@@ -561,6 +564,111 @@ impl StorageSystem {
             steps += 1;
         }
         true
+    }
+}
+
+impl Datapath for StorageSystem {
+    fn take(arena: &mut SimArena, config: &SimulationConfig) -> Self {
+        arena.take_flat(config)
+    }
+
+    fn store(self, arena: &mut SimArena, config: SimulationConfig) {
+        arena.store_flat(config, self);
+    }
+
+    fn start(&mut self, policy: WritePolicy) -> String {
+        self.set_policy(policy);
+        policy.label().to_string()
+    }
+
+    fn schedule_record(&mut self, record: &TraceRecord) {
+        self.schedule_record(record);
+    }
+
+    fn run_until_with<P: PhaseSink>(&mut self, limit: SimTime, prof: &mut P) {
+        self.run_until_with(limit, prof);
+    }
+
+    fn drain_with<P: PhaseSink>(&mut self, max_steps: u32, prof: &mut P) {
+        self.drain_with(max_steps, prof);
+    }
+
+    fn close_interval<P: PhaseSink>(
+        &mut self,
+        index: u32,
+        _tier_loads: &mut Vec<TierLoad>,
+        prof: &mut P,
+    ) -> IntervalReport {
+        let mark = prof.mark();
+        let report = self.end_interval(index);
+        prof.record(Phase::Report, mark);
+        report
+    }
+
+    fn context<'a>(
+        &'a self,
+        index: u32,
+        report: &IntervalReport,
+        _tier_loads: &'a [TierLoad],
+    ) -> ControllerContext<'a> {
+        ControllerContext {
+            interval_index: index,
+            now: self.now(),
+            cache_queue_depth: report.cache.queue_depth,
+            disk_queue_depth: report.disk.queue_depth,
+            cache_avg_latency: self.cache_avg_latency(),
+            disk_avg_latency: self.disk_avg_latency(),
+            cache_queue_mix: report.cache_queue_mix,
+            current_policy: self.policy(),
+            cache_queue: self.cache_queue(),
+            tier_loads: &[],
+            tier_policies: &[],
+        }
+    }
+
+    /// The paper's single policy knob; per-level assignments have no
+    /// flat analogue and are ignored.
+    fn apply_policy(&mut self, decision: &ControllerDecision) -> Option<String> {
+        if decision.policy == self.policy() {
+            return None;
+        }
+        self.set_policy(decision.policy);
+        Some(decision.policy.label().to_string())
+    }
+
+    fn bypass(&mut self, directive: &BypassDirective) -> (u64, u64, u64) {
+        (self.apply_bypass(directive) as u64, 0, 0)
+    }
+
+    fn movement_totals(&self) -> (u64, u64) {
+        (0, 0)
+    }
+
+    fn app(&self) -> &AppTracker {
+        &self.app
+    }
+
+    fn perf(&self) -> SimPerf {
+        SimPerf {
+            events_processed: self.events_processed,
+            peak_event_queue_depth: self.events.peak_len(),
+        }
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        *self.cache.stats()
+    }
+
+    fn tier_stats(&self) -> Vec<TierLevelStats> {
+        Vec::new()
+    }
+
+    fn snap_to(&self, w: &mut SnapWriter) {
+        self.snap_to(w);
+    }
+
+    fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.snap_state_from(r)
     }
 }
 

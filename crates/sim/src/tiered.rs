@@ -8,7 +8,7 @@
 //! special case and is untouched by this module — `Simulation` dispatches
 //! here only when the configuration describes two or more levels.
 
-use lbica_cache::WritePolicy;
+use lbica_cache::{CacheStats, WritePolicy};
 use lbica_obs::{NoProf, Phase, PhaseSink};
 use lbica_storage::device::{AnyDeviceModel, DeviceModel, HddModel, SsdModel};
 use lbica_storage::queue::DeviceQueue;
@@ -16,13 +16,15 @@ use lbica_storage::request::{IoRequest, RequestClass, RequestId, RequestOrigin};
 use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
 use lbica_storage::time::{SimDuration, SimTime};
 use lbica_tier::{TierTarget, TieredCacheModule, TieredOutcome, MAX_TIERS};
-use lbica_trace::monitor::{BlktraceProbe, IostatCollector, Tier};
+use lbica_trace::monitor::{BlktraceProbe, IntervalReport, IostatCollector, Tier};
 use lbica_trace::record::TraceRecord;
 
+use crate::arena::SimArena;
 use crate::config::{DiskDeviceConfig, SimulationConfig};
-use crate::controller::{BypassDirective, TierLoad};
+use crate::controller::{BypassDirective, ControllerContext, ControllerDecision, TierLoad};
 use crate::event::{EventKind, EventQueue};
-use crate::report::TierLevelStats;
+use crate::report::{SimPerf, TierLevelStats};
+use crate::runner::Datapath;
 use crate::system::{DeviceStation, TierId};
 use crate::tracker::AppTracker;
 
@@ -159,7 +161,7 @@ impl TieredStorageSystem {
 
     /// Mean end-to-end latency of completed application requests, µs.
     pub fn app_avg_latency_us(&self) -> u64 {
-        self.app.total_latency_us().checked_div(self.app.completed()).unwrap_or(0)
+        self.app.avg_latency_us()
     }
 
     /// Maximum end-to-end latency of completed application requests, µs.
@@ -605,8 +607,8 @@ impl TieredStorageSystem {
         }
         self.events.snap_to(w);
         w.put_u64(self.clock.as_micros());
-        self.app.snap_to(w);
         w.put_u64(self.next_id);
+        self.app.snap_to(w);
         w.put_u64(self.events_processed);
         w.put_u64(self.spilled_requests);
         w.put_u64(self.spilled_reads);
@@ -632,8 +634,8 @@ impl TieredStorageSystem {
         }
         self.events.snap_state_from(r)?;
         self.clock = SimTime::from_micros(r.get_u64()?);
-        self.app.snap_state_from(r)?;
         self.next_id = r.get_u64()?;
+        self.app.snap_state_below(r, self.next_id)?;
         self.events_processed = r.get_u64()?;
         self.spilled_requests = r.get_u64()?;
         self.spilled_reads = r.get_u64()?;
@@ -709,6 +711,141 @@ impl TieredStorageSystem {
                 }
             })
             .collect()
+    }
+}
+
+impl Datapath for TieredStorageSystem {
+    fn take(arena: &mut SimArena, config: &SimulationConfig) -> Self {
+        arena.take_tiered(config)
+    }
+
+    fn store(self, arena: &mut SimArena, config: SimulationConfig) {
+        arena.store_tiered(config, self);
+    }
+
+    /// On an explicitly per-tier topology `set_policy` drives the hot tier
+    /// only (lower levels are config-pinned; see
+    /// `TieredCacheModule::set_policy`), so a configured warm-tier policy
+    /// survives run start, every burst switch and every revert.
+    fn start(&mut self, policy: WritePolicy) -> String {
+        self.set_policy(policy);
+        tier_policy_label(self.level_policies())
+    }
+
+    fn schedule_record(&mut self, record: &TraceRecord) {
+        self.schedule_record(record);
+    }
+
+    fn run_until_with<P: PhaseSink>(&mut self, limit: SimTime, prof: &mut P) {
+        self.run_until_with(limit, prof);
+    }
+
+    fn drain_with<P: PhaseSink>(&mut self, max_steps: u32, prof: &mut P) {
+        self.drain_with(max_steps, prof);
+    }
+
+    fn close_interval<P: PhaseSink>(
+        &mut self,
+        index: u32,
+        tier_loads: &mut Vec<TierLoad>,
+        prof: &mut P,
+    ) -> IntervalReport {
+        let report = self.end_interval_with(index, prof);
+        let mark = prof.mark();
+        self.tier_loads_into(tier_loads);
+        prof.record(Phase::Report, mark);
+        report
+    }
+
+    fn context<'a>(
+        &'a self,
+        index: u32,
+        report: &IntervalReport,
+        tier_loads: &'a [TierLoad],
+    ) -> ControllerContext<'a> {
+        ControllerContext {
+            interval_index: index,
+            now: self.now(),
+            cache_queue_depth: report.cache.queue_depth,
+            disk_queue_depth: report.disk.queue_depth,
+            cache_avg_latency: self.cache_avg_latency(),
+            disk_avg_latency: self.disk_avg_latency(),
+            cache_queue_mix: report.cache_queue_mix,
+            current_policy: self.policy(),
+            cache_queue: self.cache_queue(),
+            tier_loads,
+            tier_policies: self.level_policies(),
+        }
+    }
+
+    fn apply_policy(&mut self, decision: &ControllerDecision) -> Option<String> {
+        if decision.tier_policies.is_empty() {
+            // The paper's single policy knob (which drives the hot tier
+            // only on an explicitly per-tier stack); the recorded label is
+            // the resulting hot-to-cold assignment.
+            if decision.policy == self.policy() {
+                return None;
+            }
+            self.set_policy(decision.policy);
+            Some(tier_policy_label(self.level_policies()))
+        } else if self.level_policies() != decision.tier_policies.as_slice() {
+            // Tier-aware assignment: one policy per level, recorded as a
+            // composite hot-to-cold label (e.g. "WO/WB").
+            self.set_level_policies(&decision.tier_policies);
+            Some(tier_policy_label(&decision.tier_policies))
+        } else {
+            None
+        }
+    }
+
+    fn bypass(&mut self, directive: &BypassDirective) -> (u64, u64, u64) {
+        let (writes_before, reads_before) = (self.spilled_requests, self.spilled_reads);
+        let moved = self.apply_bypass(directive) as u64;
+        let spill_writes = self.spilled_requests - writes_before;
+        let spill_reads = self.spilled_reads - reads_before;
+        (moved - (spill_writes + spill_reads), spill_writes, spill_reads)
+    }
+
+    fn movement_totals(&self) -> (u64, u64) {
+        self.movement_totals()
+    }
+
+    fn app(&self) -> &AppTracker {
+        &self.app
+    }
+
+    fn perf(&self) -> SimPerf {
+        SimPerf {
+            events_processed: self.events_processed,
+            peak_event_queue_depth: self.events.peak_len(),
+        }
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        *self.cache.stats(0)
+    }
+
+    fn tier_stats(&self) -> Vec<TierLevelStats> {
+        self.tier_level_stats()
+    }
+
+    fn snap_to(&self, w: &mut SnapWriter) {
+        self.snap_to(w);
+    }
+
+    fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.snap_state_from(r)
+    }
+}
+
+/// The Fig. 6-style label of a per-tier policy assignment: the plain policy
+/// label when every level agrees, a hot-to-cold `"WO/WB"` composite when
+/// they differ.
+fn tier_policy_label(policies: &[WritePolicy]) -> String {
+    if policies.windows(2).all(|w| w[0] == w[1]) {
+        policies[0].label().to_string()
+    } else {
+        policies.iter().map(|p| p.label()).collect::<Vec<_>>().join("/")
     }
 }
 

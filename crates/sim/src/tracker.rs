@@ -67,6 +67,12 @@ impl AppTracker {
         self.total_latency_us
     }
 
+    /// Mean end-to-end latency of completed requests, µs (0 before the
+    /// first completion).
+    pub(crate) fn avg_latency_us(&self) -> u64 {
+        self.total_latency_us.checked_div(self.completed).unwrap_or(0)
+    }
+
     /// Largest end-to-end latency of a completed request, µs.
     pub const fn max_latency_us(&self) -> u64 {
         self.max_latency_us
@@ -122,8 +128,21 @@ impl AppTracker {
     }
 
     /// Restores state written by [`AppTracker::snap_to`] into this tracker
-    /// (whose own accounting is discarded).
+    /// (whose own accounting is discarded). A live id whose index cannot
+    /// be allocated is a typed error, not an abort; a system's restore
+    /// also bounds the ids by its id counter.
     pub fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.snap_state_below(r, RequestId::MAX)
+    }
+
+    /// [`AppTracker::snap_state_from`] for a system whose id counter stands
+    /// at `next_id`: every live id must be one it has already issued, so a
+    /// corrupt id is rejected before it can size the id index.
+    pub(crate) fn snap_state_below(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        next_id: RequestId,
+    ) -> Result<(), SnapError> {
         self.reset();
         self.completed = r.get_u64()?;
         self.total_latency_us = r.get_u64()?;
@@ -137,8 +156,20 @@ impl AppTracker {
             if pending_ops == 0 {
                 return Err(SnapError::Corrupt("live request with zero pending ops"));
             }
-            if self.index.get(id as usize).is_some_and(|&s| s != NIL) {
+            if id >= next_id {
+                return Err(SnapError::Corrupt("live request id was never issued"));
+            }
+            let len = usize::try_from(id)
+                .ok()
+                .and_then(|id| id.checked_add(1))
+                .ok_or(SnapError::Corrupt("live request id too large"))?;
+            if self.index.get(len - 1).is_some_and(|&s| s != NIL) {
                 return Err(SnapError::Corrupt("duplicate live request id"));
+            }
+            if let Some(extra) = len.checked_sub(self.index.len()) {
+                self.index
+                    .try_reserve(extra)
+                    .map_err(|_| SnapError::Corrupt("live request id too large"))?;
             }
             self.register(id, arrival, pending_ops);
         }
@@ -203,6 +234,25 @@ impl AppTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unindexable_live_ids_are_typed_errors() {
+        // Ids whose index no allocation can hold: rejected before any
+        // allocation is attempted.
+        for id in [u64::MAX, u64::MAX - 1] {
+            let mut w = SnapWriter::new();
+            AppTracker::new().snap_to(&mut w);
+            let mut bytes = w.into_bytes();
+            // Patch the empty live list into a one-entry list.
+            let count_at = bytes.len() - 8;
+            bytes[count_at..].copy_from_slice(&1u64.to_le_bytes());
+            bytes.extend_from_slice(&id.to_le_bytes());
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            let err = AppTracker::new().snap_state_from(&mut SnapReader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, SnapError::Corrupt(_)), "id {id:#x}: {err:?}");
+        }
+    }
 
     #[test]
     fn zero_op_registration_counts_as_instant_completion() {

@@ -273,8 +273,11 @@ impl TierTopology {
     /// # Panics
     ///
     /// Panics if `index` is at or past [`TierTopology::len`].
-    pub fn level(&self, index: usize) -> &TierLevelSpec {
-        self.levels[index].as_ref().expect("tier level index in bounds")
+    pub const fn level(&self, index: usize) -> &TierLevelSpec {
+        match &self.levels[index] {
+            Some(level) => level,
+            None => panic!("tier level index in bounds"),
+        }
     }
 
     /// Iterates the levels, hot tier first.
