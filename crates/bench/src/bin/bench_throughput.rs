@@ -25,9 +25,9 @@
 //! baseline's events/sec is validly derived from the current event totals
 //! and the baseline's wall-clock.
 //!
-//! `--validate FILE` structurally checks an emitted document (schema
-//! marker, required keys, balanced JSON) and exits non-zero on failure —
-//! CI runs this against the artifact it uploads.
+//! `--validate FILE` parses an emitted document and checks it against the
+//! schema (`lbica_bench::perf::validate_report`), exiting non-zero on
+//! failure — CI runs this against the artifact it uploads.
 
 use std::env;
 use std::fs;

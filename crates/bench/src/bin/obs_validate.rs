@@ -1,4 +1,4 @@
-//! Structural validation of observability artifacts — the CI gate for
+//! Schema validation of observability artifacts — the CI gate for
 //! telemetry streams, metrics snapshots and Chrome traces.
 //!
 //! ```text
@@ -11,9 +11,9 @@
 //!
 //! Exits 0 and prints a one-line summary when the artifact is
 //! well-formed; exits 1 with the reason otherwise. The checks are the
-//! `lbica_obs::validate` structural validators (balanced brackets outside
-//! strings, required schema markers and keys) — the workspace carries no
-//! JSON parser by design.
+//! `lbica_obs::validate` schema validators: each parses the file with
+//! `lbica_obs::json` and checks the schema marker and every required
+//! field's type.
 
 use std::env;
 use std::fs;

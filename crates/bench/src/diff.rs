@@ -1,10 +1,10 @@
 //! The perf-regression ledger: `bench diff` and `bench history`.
 //!
 //! [`BenchDoc::parse`] reads a rendered `lbica-bench-sim/v2` document back
-//! into the fields the ledger needs (the same structural extraction
-//! [`perf::validate_report`](crate::perf::validate_report) uses — the
-//! environment has no JSON parser, and the emitter's line-per-cell layout
-//! makes the cells trivially addressable). [`DiffReport`] compares two
+//! into the fields the ledger needs, parsing it with [`lbica_obs::json`]
+//! as [`perf::validate_report`](crate::perf::validate_report) does, so
+//! the document's layout (line breaks, key order) does not matter.
+//! [`DiffReport`] compares two
 //! documents of the *same matrix* cell-by-cell under a configurable noise
 //! tolerance: a cell whose wall-clock grew beyond the tolerance is a
 //! *regression*, and the `bench diff` binary exits non-zero when any cell
@@ -21,8 +21,9 @@
 use std::fmt::Write as _;
 
 use lbica_obs::validate::BENCH_DIFF_SCHEMA;
+use lbica_obs::{escape, json};
 
-use crate::perf::{escape_json, extract_u64, SCHEMA};
+use crate::perf::SCHEMA;
 
 /// The per-cell measurements `bench diff` compares.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,58 +49,38 @@ pub struct BenchDoc {
     pub cells: Vec<BenchCell>,
 }
 
-/// Extracts the first `"key": "<string>"` value from the document.
-fn extract_string(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": \"");
-    let start = text.find(&needle)? + needle.len();
-    let rest = &text[start..];
-    // The emitter escapes embedded quotes, so scan for the first
-    // unescaped terminator.
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            return Some(rest[..i].to_string());
-        }
-    }
-    None
-}
-
 impl BenchDoc {
-    /// Parses a rendered `lbica-bench-sim/v2` document.
-    ///
-    /// Structural extraction, not a JSON parse: the schema marker is
-    /// required, the top-level numeric fields are read first-occurrence
-    /// (the emitter writes them before any nested object repeats a key),
-    /// and each line of the `"cells"` array — the emitter writes one cell
-    /// object per line — yields one [`BenchCell`].
+    /// Parses a rendered `lbica-bench-sim/v2` document: the schema marker
+    /// is required, and each entry of the `cells` array yields one
+    /// [`BenchCell`].
     pub fn parse(text: &str) -> Result<BenchDoc, String> {
-        if !text.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-            return Err(format!("missing or wrong schema marker (want {SCHEMA})"));
-        }
-        let matrix = extract_string(text, "matrix").ok_or("unreadable \"matrix\" value")?;
-        let total_events =
-            extract_u64(text, "total_events").ok_or("unreadable \"total_events\" value")?;
-        let serial_wall_us =
-            extract_u64(text, "serial_wall_us").ok_or("unreadable \"serial_wall_us\" value")?;
-        let start = text.find("\"cells\": [").ok_or("missing \"cells\" array")?;
-        let mut cells = Vec::new();
-        for line in text[start..].lines().filter(|l| l.contains("\"id\": ")) {
-            cells.push(BenchCell {
-                id: extract_string(line, "id").ok_or("cell entry with unreadable \"id\"")?,
-                wall_us: extract_u64(line, "wall_us")
-                    .ok_or("cell entry with unreadable \"wall_us\"")?,
-                events: extract_u64(line, "events")
-                    .ok_or("cell entry with unreadable \"events\"")?,
-            });
-        }
+        Self::read(text).map_err(|e| format!("not a valid document of schema {SCHEMA}: {e}"))
+    }
+
+    fn read(text: &str) -> Result<BenchDoc, json::Error> {
+        let doc = json::parse_tagged(text, SCHEMA)?;
+        let root = doc.root();
+        let cells_node = root.get("cells")?;
+        let cells = cells_node
+            .items()?
+            .iter()
+            .map(|cell| {
+                Ok(BenchCell {
+                    id: cell.get("id")?.str()?.to_string(),
+                    wall_us: cell.get("wall_us")?.int()?,
+                    events: cell.get("events")?.int()?,
+                })
+            })
+            .collect::<Result<Vec<_>, json::Error>>()?;
         if cells.is_empty() {
-            return Err("document contains no cell entries".into());
+            return Err(cells_node.error("document contains no cell entries"));
         }
-        Ok(BenchDoc { matrix, total_events, serial_wall_us, cells })
+        Ok(BenchDoc {
+            matrix: root.get("matrix")?.str()?.to_string(),
+            total_events: root.get("total_events")?.int()?,
+            serial_wall_us: root.get("serial_wall_us")?.int()?,
+            cells,
+        })
     }
 
     /// Aggregate serial throughput of the document, events per second.
@@ -246,7 +227,7 @@ impl DiffReport {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"schema\": \"{BENCH_DIFF_SCHEMA}\",");
-        let _ = writeln!(out, "  \"matrix\": \"{}\",", escape_json(&self.matrix));
+        let _ = writeln!(out, "  \"matrix\": \"{}\",", escape::json(&self.matrix));
         let _ = writeln!(out, "  \"tolerance_pct\": {:.3},", self.tolerance_pct);
         let _ = writeln!(out, "  \"old_serial_wall_us\": {},", self.old_serial_wall_us);
         let _ = writeln!(out, "  \"new_serial_wall_us\": {},", self.new_serial_wall_us);
@@ -260,7 +241,7 @@ impl DiffReport {
                 out,
                 "    {{\"id\": \"{}\", \"old_wall_us\": {}, \"new_wall_us\": {}, \
                  \"delta_pct\": {:.3}, \"events_match\": {}, \"regression\": {}}}{comma}",
-                escape_json(&c.id),
+                escape::json(&c.id),
                 c.old_wall_us,
                 c.new_wall_us,
                 c.delta_pct,
@@ -349,6 +330,36 @@ mod tests {
         let text = run([1, 1]).render_json(None);
         assert!(BenchDoc::parse(&text.replace(SCHEMA, "other/v9")).is_err());
         assert!(BenchDoc::parse(&text.replace("\"id\": ", "\"di\": ")).is_err());
+    }
+
+    #[test]
+    fn flipped_and_truncated_ledgers_read_without_panicking() {
+        let text = run([50_000, 25_000]).render_json(None);
+        let mut bytes = text.clone().into_bytes();
+        for at in (0..bytes.len()).step_by(3) {
+            for bit in [0, 3, 6] {
+                bytes[at] ^= 1 << bit;
+                let mutated = String::from_utf8_lossy(&bytes);
+                let _ = crate::perf::validate_report(&mutated);
+                if let Ok(doc) = BenchDoc::parse(&mutated) {
+                    let _ = diff(&doc, &doc, 0.0).map(|report| report.render_json());
+                }
+                bytes[at] ^= 1 << bit;
+            }
+            assert!(BenchDoc::parse(&text[..at]).is_err(), "truncation to {at} parsed");
+        }
+    }
+
+    #[test]
+    fn one_line_documents_read_like_the_rendered_layout() {
+        let text = run([50_000, 25_000]).render_json(None);
+        let one_line = text.replace('\n', "");
+        assert_eq!(BenchDoc::parse(&one_line), BenchDoc::parse(&text));
+        crate::perf::validate_report(&one_line).expect("layout carries no meaning");
+        let garbled = text.replacen("\"jobs\": 1,", "\"jobs\": 1, ,,, garbage :::", 1);
+        assert_ne!(garbled, text);
+        assert!(BenchDoc::parse(&garbled).is_err());
+        assert!(crate::perf::validate_report(&garbled).is_err());
     }
 
     #[test]

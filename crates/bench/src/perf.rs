@@ -4,15 +4,17 @@
 //! emits: per-cell wall-clock and event counts for a scenario matrix, the
 //! aggregate events-per-second figure, and (optionally) a baseline
 //! comparison so the repo can track its performance trajectory across
-//! PRs. The JSON emitter is hand-rolled like `lbica-lab`'s sinks — the
-//! build environment has no `serde_json` — and [`validate_report`] checks
-//! a rendered document for the keys the schema promises, which CI uses to
+//! PRs. The JSON emitter is hand-rolled like `lbica-lab`'s sinks, and
+//! [`validate_report`] parses a rendered document with
+//! [`lbica_obs::json`] and checks it against the schema, which CI uses to
 //! guard the artifact.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
+
+use lbica_obs::{escape, json};
 
 /// The schema identifier stamped into every emitted document. Bump when a
 /// field changes meaning or disappears.
@@ -23,27 +25,6 @@ use std::path::Path;
 /// cross-checks the serial-vs-parallel relation against the jobs/core
 /// metadata.
 pub const SCHEMA: &str = "lbica-bench-sim/v2";
-
-/// Escapes a string for embedding in a JSON document (quotes, backslashes
-/// and control characters) — user-supplied labels must not be able to
-/// corrupt the emitted file.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Measurements of one matrix cell, best-of-`iters` wall clock.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,7 +129,7 @@ impl ThroughputRun {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(out, "  \"matrix\": \"{}\",", escape_json(&self.matrix));
+        let _ = writeln!(out, "  \"matrix\": \"{}\",", escape::json(&self.matrix));
         let _ = writeln!(out, "  \"jobs\": {},", self.jobs);
         let _ = writeln!(out, "  \"iters\": {},", self.iters);
         let _ = writeln!(out, "  \"detected_cores\": {},", self.detected_cores);
@@ -175,7 +156,7 @@ impl ThroughputRun {
                 base.wall_us as f64 / self.serial_wall_us().max(1) as f64
             };
             let _ = writeln!(out, "  \"baseline\": {{");
-            let _ = writeln!(out, "    \"label\": \"{}\",", escape_json(&base.label));
+            let _ = writeln!(out, "    \"label\": \"{}\",", escape::json(&base.label));
             let _ = writeln!(out, "    \"serial_wall_us\": {},", base.wall_us);
             let _ = writeln!(out, "    \"events_per_sec\": {base_eps:.1}");
             let _ = writeln!(out, "  }},");
@@ -189,9 +170,9 @@ impl ThroughputRun {
                 "    {{\"id\": \"{}\", \"workload\": \"{}\", \"controller\": \"{}\", \
                  \"wall_us\": {}, \"events\": {}, \"events_per_sec\": {:.1}, \
                  \"peak_event_queue_depth\": {}, \"app_completed\": {}}}{comma}",
-                escape_json(&cell.id),
-                escape_json(&cell.workload),
-                escape_json(&cell.controller),
+                escape::json(&cell.id),
+                escape::json(&cell.workload),
+                escape::json(&cell.controller),
                 cell.wall_us,
                 cell.events,
                 cell.events_per_sec,
@@ -210,49 +191,11 @@ impl ThroughputRun {
     }
 }
 
-/// Keys every `BENCH_sim.json` document must carry.
-const REQUIRED_KEYS: [&str; 11] = [
-    "\"schema\"",
-    "\"matrix\"",
-    "\"jobs\"",
-    "\"iters\"",
-    "\"detected_cores\"",
-    "\"total_events\"",
-    "\"serial_wall_us\"",
-    "\"parallel_wall_us\"",
-    "\"events_per_sec\"",
-    "\"scaling\"",
-    "\"cells\"",
-];
-
-/// Extracts the first `"key": <number>` value from the document. The
-/// emitter writes every top-level numeric field before any nested object
-/// repeating its key (the baseline's `serial_wall_us`, the scaling rows'
-/// `jobs`), so first occurrence == top-level value.
-pub(crate) fn extract_u64(text: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let start = text.find(&needle)? + needle.len();
-    let digits: String = text[start..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Parses the `"scaling": [...]` table into (jobs, wall_us) rows.
-fn extract_scaling(text: &str) -> Option<Vec<(u64, u64)>> {
-    let start = text.find("\"scaling\": [")? + "\"scaling\": [".len();
-    let body = &text[start..text[start..].find(']')? + start];
-    let mut rows = Vec::new();
-    for entry in body.split('{').skip(1) {
-        let jobs = extract_u64(entry, "jobs")?;
-        let wall = extract_u64(entry, "wall_us")?;
-        rows.push((jobs, wall));
-    }
-    Some(rows)
-}
-
-/// Validates a rendered `BENCH_sim.json` document: schema marker, required
-/// keys, balanced braces/brackets, at least one cell entry, and the
-/// serial-vs-parallel cross-check — the document must carry jobs/core
-/// metadata that *explains* its parallel wall figure:
+/// Validates a rendered `BENCH_sim.json` document: it parses, carries the
+/// schema marker and every field the emitter writes with its type, has at
+/// least one cell entry, and passes the serial-vs-parallel cross-check —
+/// the document must carry jobs/core metadata that *explains* its
+/// parallel wall figure:
 ///
 /// * the `scaling` table must exist and contain a `jobs = 1` row plus a
 ///   row matching the headline `jobs`, whose wall equals
@@ -265,66 +208,12 @@ fn extract_scaling(text: &str) -> Option<Vec<(u64, u64)>> {
 ///   acceptable on a single-core host (`detected_cores == 1`) — on a
 ///   multi-core box that relation is the misleading artifact v2 exists to
 ///   reject.
-///
-/// This is a structural check (the environment has no JSON parser), strict
-/// enough to catch truncated or mis-shaped artifacts in CI.
 pub fn validate_report(text: &str) -> Result<(), String> {
-    if !text.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return Err(format!("missing or wrong schema marker (want {SCHEMA})"));
-    }
-    for key in REQUIRED_KEYS {
-        if !text.contains(key) {
-            return Err(format!("missing required key {key}"));
-        }
-    }
-    let mut depth_braces: i64 = 0;
-    let mut depth_brackets: i64 = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in text.chars() {
-        if in_string {
-            if escaped {
-                // The escaped character is consumed whatever it is — a
-                // string ending in `\\` must not swallow its terminator.
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-        } else {
-            match c {
-                '"' => in_string = true,
-                '{' => depth_braces += 1,
-                '}' => depth_braces -= 1,
-                '[' => depth_brackets += 1,
-                ']' => depth_brackets -= 1,
-                _ => {}
-            }
-            if depth_braces < 0 || depth_brackets < 0 {
-                return Err("unbalanced braces".to_string());
-            }
-        }
-    }
-    if depth_braces != 0 || depth_brackets != 0 || in_string {
-        return Err("unbalanced braces or unterminated string".to_string());
-    }
-    if !text.contains("\"id\":") {
-        return Err("no cell entries".to_string());
-    }
-
-    // Numeric cross-check: the jobs/core metadata must explain the
-    // serial-vs-parallel relation.
-    let jobs = extract_u64(text, "jobs").ok_or("unreadable \"jobs\" value")?;
-    let cores = extract_u64(text, "detected_cores").ok_or("unreadable \"detected_cores\" value")?;
-    let serial =
-        extract_u64(text, "serial_wall_us").ok_or("unreadable \"serial_wall_us\" value")?;
-    let parallel =
-        extract_u64(text, "parallel_wall_us").ok_or("unreadable \"parallel_wall_us\" value")?;
+    let ([jobs, cores, serial, parallel], scaling) =
+        read_report(text).map_err(|e| e.to_string())?;
     if jobs == 0 || cores == 0 {
         return Err("jobs and detected_cores must be at least 1".to_string());
     }
-    let scaling = extract_scaling(text).ok_or("unreadable \"scaling\" table")?;
     if !scaling.iter().any(|&(j, _)| j == 1) {
         return Err("scaling table lacks the jobs = 1 row".to_string());
     }
@@ -341,7 +230,7 @@ pub fn validate_report(text: &str) -> Result<(), String> {
     // A >10% speedup needs actual parallelism: multiple workers on
     // multiple cores. (Within 10% is measurement noise — a lone worker's
     // single sweep can beat the sum of best-of-iters serial times slightly.)
-    if parallel * 10 < serial * 9 && (jobs < 2 || cores < 2) {
+    if u128::from(parallel) * 10 < u128::from(serial) * 9 && (jobs < 2 || cores < 2) {
         return Err(format!(
             "parallel_wall_us ({parallel}) claims a speedup over serial_wall_us ({serial}) that \
              jobs = {jobs} / detected_cores = {cores} cannot explain"
@@ -357,6 +246,42 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// What the cross-checks read: `[jobs, detected_cores, serial_wall_us,
+/// parallel_wall_us]` and the `scaling` table as (jobs, wall_us) rows.
+type Relation = ([u64; 4], Vec<(u64, u64)>);
+
+/// Parses a document and checks every field the emitter writes.
+fn read_report(text: &str) -> Result<Relation, json::Error> {
+    let doc = json::parse_tagged(text, SCHEMA)?;
+    let root = doc.root();
+    root.get("matrix")?.str()?;
+    root.get("events_per_sec")?.f64()?;
+    for key in ["iters", "total_events", "peak_event_queue_depth"] {
+        root.get(key)?.int::<u64>()?;
+    }
+    let cells = root.get("cells")?;
+    let entries = cells.items()?;
+    if entries.is_empty() {
+        return Err(cells.error("no cell entries"));
+    }
+    for cell in &entries {
+        for key in ["id", "workload", "controller"] {
+            cell.get(key)?.str()?;
+        }
+        for key in ["wall_us", "events", "peak_event_queue_depth", "app_completed"] {
+            cell.get(key)?.int::<u64>()?;
+        }
+        cell.get("events_per_sec")?.f64()?;
+    }
+    let scaling = (root.get("scaling")?.items()?.iter())
+        .map(|row| Ok((row.get("jobs")?.int()?, row.get("wall_us")?.int()?)))
+        .collect::<Result<_, json::Error>>()?;
+    let [jobs, cores, serial, parallel] =
+        ["jobs", "detected_cores", "serial_wall_us", "parallel_wall_us"]
+            .map(|key| root.get(key).and_then(|n| n.int::<u64>()));
+    Ok(([jobs?, cores?, serial?, parallel?], scaling))
 }
 
 #[cfg(test)]

@@ -12,6 +12,13 @@ fn bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bench")).args(args).output().expect("the bench binary runs")
 }
 
+fn bench_throughput(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_bench_throughput"))
+        .args(args)
+        .output()
+        .expect("the bench_throughput binary runs")
+}
+
 fn obs_validate(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_obs_validate"))
         .args(args)
@@ -134,4 +141,66 @@ fn committed_ledger_diffs_cleanly_against_itself() {
         "0",
     ]);
     assert!(out.status.success(), "committed ledger self-diff failed: {}", stderr_of(&out));
+}
+
+fn committed_ledger() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim.json")
+}
+
+#[test]
+fn garbage_injected_ledgers_are_refused() {
+    let text = fs::read_to_string(committed_ledger()).unwrap();
+    assert!(text.contains("\"jobs\": 1,"));
+    let garbled = tmp("garbled_ledger.json");
+    fs::write(&garbled, text.replacen("\"jobs\": 1,", "\"jobs\": 1, ,,, garbage :::", 1)).unwrap();
+    let validated = bench_throughput(&["--validate", garbled.to_str().unwrap()]);
+    assert!(!validated.status.success(), "--validate accepted a garbled ledger");
+    let committed = committed_ledger();
+    let out = bench(&["diff", committed.to_str().unwrap(), garbled.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "diff must refuse the garbled ledger");
+}
+
+#[test]
+fn a_one_line_ledger_reads_like_the_committed_one() {
+    let committed = committed_ledger();
+    let one_line = tmp("one_line_ledger.json");
+    fs::write(&one_line, fs::read_to_string(&committed).unwrap().replace('\n', "")).unwrap();
+
+    let history = bench(&["history", one_line.to_str().unwrap()]);
+    assert!(history.status.success(), "history failed: {}", stderr_of(&history));
+    let stdout = stdout_of(&history);
+    let row: Vec<&str> = stdout.lines().nth(1).expect("one row").split_whitespace().collect();
+    assert_eq!(row[2], "18", "cells column of {stdout}");
+
+    let diff = bench(&[
+        "diff",
+        committed.to_str().unwrap(),
+        one_line.to_str().unwrap(),
+        "--tolerance",
+        "0",
+    ]);
+    assert!(diff.status.success(), "one-line self-diff failed: {}", stderr_of(&diff));
+    assert!(stdout_of(&diff).contains("0 regression(s), 0 event-count mismatch(es)"));
+}
+
+#[test]
+fn garbage_metrics_snapshots_fail_obs_validate() {
+    let mut registry = lbica_obs::MetricsRegistry::new();
+    let ops = registry.counter("lbica_ops_total", "ops");
+    registry.add(ops, 12);
+    let snapshot = registry.snapshot().render_json();
+    let good = tmp("metrics_good.json");
+    fs::write(&good, &snapshot).unwrap();
+    assert!(obs_validate(&["metrics", good.to_str().unwrap()]).status.success());
+
+    let garbled = snapshot.replacen("\"value\": 12", "\"value\": 12,,, 12 garbage :::", 1);
+    let string_valued = snapshot.replacen("\"value\": 12", "\"value\": \"12\"", 1);
+    for (name, text) in [("metrics_garbage.json", garbled), ("metrics_string.json", string_valued)]
+    {
+        assert_ne!(text, snapshot);
+        let path = tmp(name);
+        fs::write(&path, text).unwrap();
+        let out = obs_validate(&["metrics", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{name} must fail validation");
+    }
 }

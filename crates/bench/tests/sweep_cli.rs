@@ -113,3 +113,14 @@ fn merge_of_an_incomplete_shard_set_fails() {
     let none = sweep(&["merge", "--out", tmp("incomplete-out").to_str().unwrap()]);
     assert!(!none.status.success(), "merge with no partials must fail");
 }
+
+#[test]
+fn merge_refuses_unbounded_nesting_with_a_typed_error() {
+    let dir = tmp("deep");
+    fs::create_dir_all(&dir).unwrap();
+    let deep = dir.join("deep.json");
+    fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let out = sweep(&["merge", deep.to_str().unwrap(), "--out", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "merge must exit 1, not abort: {}", stderr_of(&out));
+    assert!(stderr_of(&out).contains("nesting deeper"), "{}", stderr_of(&out));
+}

@@ -10,7 +10,7 @@ use crate::aggregate::{Aggregator, SweepSummary};
 use crate::matrix::{CellRange, ScenarioMatrix};
 use crate::scenario::Scenario;
 use crate::telemetry::{
-    events_rate, utilization, CellTelemetry, ProfileFold, ProgressHook, SweepTelemetry,
+    events_rate, utilization, CellTelemetry, NullTelemetry, ProfileFold, SweepTelemetry,
     TelemetryEvent, TelemetryHook,
 };
 
@@ -224,18 +224,7 @@ impl SweepExecutor {
         matrix_name: &str,
         hook: &dyn TelemetryHook,
     ) -> SweepSummary {
-        let aggregator = Mutex::new(Aggregator::new());
-        self.run_with_telemetry(
-            matrix,
-            matrix.full_range(),
-            matrix_name,
-            hook,
-            None,
-            |_, s, report| {
-                aggregator.lock().expect("aggregator lock").observe(s, report);
-            },
-        );
-        aggregator.into_inner().expect("aggregator lock").summary()
+        self.aggregate_in(matrix, matrix_name, hook, None)
     }
 
     /// [`SweepExecutor::aggregate_with_telemetry`] with phase profiling:
@@ -251,13 +240,23 @@ impl SweepExecutor {
         hook: &dyn TelemetryHook,
         profile: &ProfileFold,
     ) -> SweepSummary {
+        self.aggregate_in(matrix, matrix_name, hook, Some(profile))
+    }
+
+    fn aggregate_in(
+        &self,
+        matrix: &ScenarioMatrix,
+        matrix_name: &str,
+        hook: &dyn TelemetryHook,
+        profile: Option<&ProfileFold>,
+    ) -> SweepSummary {
         let aggregator = Mutex::new(Aggregator::new());
         self.run_with_telemetry(
             matrix,
             matrix.full_range(),
             matrix_name,
             hook,
-            Some(profile),
+            profile,
             |_, s, report| {
                 aggregator.lock().expect("aggregator lock").observe(s, report);
             },
@@ -265,20 +264,9 @@ impl SweepExecutor {
         aggregator.into_inner().expect("aggregator lock").summary()
     }
 
-    /// [`SweepExecutor::aggregate_with_telemetry`] with a plain
-    /// `(completed, total)` progress closure instead of a hook.
-    pub fn aggregate_with_progress(
-        &self,
-        matrix: &ScenarioMatrix,
-        progress: impl Fn(usize, usize) + Sync,
-    ) -> SweepSummary {
-        self.aggregate_with_telemetry(matrix, "", &ProgressHook(progress))
-    }
-
-    /// [`SweepExecutor::aggregate_with_progress`] without a progress
-    /// callback.
+    /// [`SweepExecutor::aggregate_with_telemetry`] without telemetry.
     pub fn aggregate(&self, matrix: &ScenarioMatrix) -> SweepSummary {
-        self.aggregate_with_progress(matrix, |_, _| {})
+        self.aggregate_with_telemetry(matrix, "", &NullTelemetry)
     }
 }
 
@@ -316,16 +304,29 @@ mod tests {
 
     #[test]
     fn progress_reaches_the_total_exactly_once_per_cell() {
+        struct Counting {
+            calls: AtomicUsize,
+            max_seen: AtomicUsize,
+            total: usize,
+        }
+        impl TelemetryHook for Counting {
+            fn record(&self, event: TelemetryEvent<'_>) {
+                if let TelemetryEvent::Cell { cell, .. } = event {
+                    self.calls.fetch_add(1, Ordering::Relaxed);
+                    self.max_seen.fetch_max(cell.completed, Ordering::Relaxed);
+                    assert_eq!(cell.total, self.total);
+                }
+            }
+        }
         let matrix = ScenarioMatrix::smoke();
-        let calls = AtomicUsize::new(0);
-        let max_seen = AtomicUsize::new(0);
-        SweepExecutor::new(2).aggregate_with_progress(&matrix, |done, total| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            max_seen.fetch_max(done, Ordering::Relaxed);
-            assert_eq!(total, matrix.len());
-        });
-        assert_eq!(calls.into_inner(), matrix.len());
-        assert_eq!(max_seen.into_inner(), matrix.len());
+        let hook = Counting {
+            calls: AtomicUsize::new(0),
+            max_seen: AtomicUsize::new(0),
+            total: matrix.len(),
+        };
+        SweepExecutor::new(2).aggregate_with_telemetry(&matrix, "smoke", &hook);
+        assert_eq!(hook.calls.into_inner(), matrix.len());
+        assert_eq!(hook.max_seen.into_inner(), matrix.len());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! One cell of a scenario matrix.
 
+pub(crate) use lbica_sim::{fnv1a, FNV_OFFSET};
 use lbica_sim::{Simulation, SimulationConfig, SimulationReport};
 use lbica_trace::workload::WorkloadSpec;
 
@@ -24,16 +25,6 @@ pub fn derive_seed(workload: &str, config_label: &str, seed: u64) -> u64 {
     h = fnv1a(&[0xff], h);
     h = fnv1a(&seed.to_le_bytes(), h);
     splitmix64(h)
-}
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 // splitmix64 finalizer: FNV alone avalanches poorly in the high bits.

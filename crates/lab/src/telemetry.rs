@@ -24,11 +24,10 @@ use std::fmt::Write as _;
 use std::io;
 use std::sync::Mutex;
 
+use lbica_obs::escape;
 use lbica_obs::validate::TELEMETRY_SCHEMA;
 use lbica_obs::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot, PhaseProfiler};
 use lbica_sim::SimulationReport;
-
-use crate::sink::json_string;
 
 /// Wall-clock measurements of one completed cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,20 +124,6 @@ pub struct NullTelemetry;
 
 impl TelemetryHook for NullTelemetry {
     fn record(&self, _event: TelemetryEvent<'_>) {}
-}
-
-/// Adapts a plain `(completed, total)` progress closure to the hook
-/// interface — the compatibility shim behind
-/// [`SweepExecutor::aggregate_with_progress`](crate::SweepExecutor::aggregate_with_progress).
-#[derive(Debug)]
-pub struct ProgressHook<F>(pub F);
-
-impl<F: Fn(usize, usize) + Sync> TelemetryHook for ProgressHook<F> {
-    fn record(&self, event: TelemetryEvent<'_>) {
-        if let TelemetryEvent::Cell { cell, .. } = event {
-            (self.0)(cell.completed, cell.total);
-        }
-    }
 }
 
 /// Human-facing progress lines on stderr, in the `sweep` binary's
@@ -239,20 +224,19 @@ impl<W: io::Write + Send> TelemetryHook for JsonlTelemetry<W> {
             TelemetryEvent::SweepStart { matrix, cells, jobs } => {
                 let _ = write!(
                     line,
-                    "{{\"type\": \"start\", \"schema\": {}, \"matrix\": {}, \
+                    "{{\"type\": \"start\", \"schema\": \"{TELEMETRY_SCHEMA}\", \"matrix\": \"{}\", \
                      \"cells\": {cells}, \"jobs\": {jobs}}}",
-                    json_string(TELEMETRY_SCHEMA),
-                    json_string(matrix),
+                    escape::json(matrix),
                 );
             }
             TelemetryEvent::Cell { cell, report } => {
                 let _ = write!(
                     line,
-                    "{{\"type\": \"cell\", \"index\": {}, \"id\": {}, \"worker\": {}, \
+                    "{{\"type\": \"cell\", \"index\": {}, \"id\": \"{}\", \"worker\": {}, \
                      \"wall_us\": {}, \"events\": {}, \"events_per_sec\": {:.3}, \
                      \"app_completed\": {}, \"completed\": {}, \"total\": {}}}",
                     cell.index,
-                    json_string(&cell.id),
+                    escape::json(&cell.id),
                     cell.worker,
                     cell.wall_us,
                     cell.events,
@@ -270,25 +254,20 @@ impl<W: io::Write + Send> TelemetryHook for JsonlTelemetry<W> {
                 );
             }
             TelemetryEvent::SweepEnd { telemetry } => {
-                let mut busy = String::from("[");
-                for (i, us) in telemetry.worker_busy_us.iter().enumerate() {
-                    if i > 0 {
-                        busy.push_str(", ");
-                    }
-                    let _ = write!(busy, "{us}");
-                }
-                busy.push(']');
+                let busy: Vec<String> =
+                    telemetry.worker_busy_us.iter().map(u64::to_string).collect();
                 let _ = write!(
                     line,
-                    "{{\"type\": \"end\", \"matrix\": {}, \"jobs\": {}, \"cells\": {}, \
+                    "{{\"type\": \"end\", \"matrix\": \"{}\", \"jobs\": {}, \"cells\": {}, \
                      \"wall_us\": {}, \"events\": {}, \"events_per_sec\": {:.3}, \
-                     \"worker_busy_us\": {busy}, \"worker_utilization\": {:.4}}}",
-                    json_string(&telemetry.matrix),
+                     \"worker_busy_us\": [{}], \"worker_utilization\": {:.4}}}",
+                    escape::json(&telemetry.matrix),
                     telemetry.jobs,
                     telemetry.cells,
                     telemetry.wall_us,
                     telemetry.events,
                     telemetry.events_per_sec,
+                    busy.join(", "),
                     telemetry.worker_utilization,
                 );
             }
@@ -602,29 +581,5 @@ mod tests {
         assert!((utilization(&[5, 15], 20) - 0.5).abs() < 1e-9);
         // Clamped: folding rounds can make busy exceed wall.
         assert_eq!(utilization(&[100], 10), 1.0);
-    }
-
-    #[test]
-    fn null_hook_and_progress_adapter_behave() {
-        NullTelemetry.record(TelemetryEvent::SweepStart { matrix: "x", cells: 1, jobs: 1 });
-        let seen = std::sync::atomic::AtomicUsize::new(0);
-        let hook = ProgressHook(|done: usize, total: usize| {
-            seen.fetch_add(done + total, std::sync::atomic::Ordering::Relaxed);
-        });
-        hook.record(TelemetryEvent::SweepStart { matrix: "x", cells: 1, jobs: 1 });
-        assert_eq!(seen.load(std::sync::atomic::Ordering::Relaxed), 0);
-        let cell = CellTelemetry {
-            index: 0,
-            id: "id".into(),
-            worker: 0,
-            wall_us: 1,
-            events: 1,
-            events_per_sec: 1.0,
-            completed: 1,
-            total: 2,
-        };
-        let report = ScenarioMatrix::smoke().cell(0).expect("cell").run();
-        hook.record(TelemetryEvent::Cell { cell: &cell, report: &report });
-        assert_eq!(seen.load(std::sync::atomic::Ordering::Relaxed), 3);
     }
 }

@@ -27,12 +27,15 @@
 //!   itself across a fixed phase vocabulary, compiled to a no-op
 //!   ([`NoProf`]) when absent. Profiles merge commutatively across sweep
 //!   workers and render to `lbica-prof/v1` documents.
+//! - [`json`] — the workspace's one JSON reader, and [`validate`], the
+//!   schema checks built on it for every artifact this crate renders.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod chrome;
 pub mod escape;
+pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod prof;

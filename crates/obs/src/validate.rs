@@ -1,12 +1,14 @@
-//! Structural validators for observability artifacts.
+//! Schema validators for observability artifacts.
 //!
-//! The vendored `serde` stub means the workspace has no general JSON
-//! parser, so CI validates telemetry artifacts the same way
-//! `lbica-bench`'s `perf` module validates `BENCH_sim.json`: a
-//! string-aware balance check plus required schema markers and keys. The
-//! checks are deliberately structural — enough to catch truncated files,
-//! broken escaping and schema drift without a full parser.
+//! Each validator parses its document with the workspace's one JSON
+//! reader ([`crate::json`]) and then checks the parsed tree against the
+//! schema its renderer writes: the schema marker, every required field
+//! with its type, and the cross-field facts the summary counts rely on.
+//! Text that is not JSON, a field of the wrong type or a truncated file
+//! is a typed [`Error`]; the returned `*Stats` count the parsed
+//! entries.
 
+use crate::json::{self, parse_tagged, Error, Node};
 use crate::metrics::METRICS_SCHEMA;
 use crate::prof::{Phase, PROF_SCHEMA};
 
@@ -21,43 +23,9 @@ pub const TELEMETRY_SCHEMA: &str = "lbica-telemetry/v1";
 /// (bench depends on obs, not the other way around).
 pub const BENCH_DIFF_SCHEMA: &str = "lbica-bench-diff/v1";
 
-/// Checks that `s` is non-empty, has balanced `{}`/`[]` outside string
-/// literals, and terminates outside a string.
-fn check_balanced(s: &str) -> Result<(), String> {
-    if s.trim().is_empty() {
-        return Err("document is empty".into());
-    }
-    let mut stack: Vec<char> = Vec::new();
-    let mut in_string = false;
-    let mut escaped = false;
-    for ch in s.chars() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if ch == '\\' {
-                escaped = true;
-            } else if ch == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_string = true,
-            '{' => stack.push('}'),
-            '[' => stack.push(']'),
-            '}' | ']' if stack.pop() != Some(ch) => {
-                return Err(format!("mismatched closing bracket {ch:?}"));
-            }
-            _ => {}
-        }
-    }
-    if in_string {
-        return Err("unterminated string literal".into());
-    }
-    if !stack.is_empty() {
-        return Err(format!("unbalanced brackets ({} unclosed at end)", stack.len()));
-    }
-    Ok(())
+/// Checks that each named field of `node` is a non-negative integer.
+fn require_u64(node: &Node<'_>, keys: &[&str]) -> Result<(), Error> {
+    keys.iter().try_for_each(|key| node.get(key)?.int::<u64>().map(drop))
 }
 
 /// Summary of a validated metrics snapshot document.
@@ -71,20 +39,24 @@ pub struct MetricsStats {
 
 /// Validates a JSON metrics snapshot rendered by
 /// [`MetricsSnapshot::render_json`](crate::MetricsSnapshot::render_json).
-pub fn metrics_json(s: &str) -> Result<MetricsStats, String> {
-    check_balanced(s)?;
-    if !s.contains(&format!("\"schema\": \"{METRICS_SCHEMA}\"")) {
-        return Err(format!("missing schema marker {METRICS_SCHEMA:?}"));
-    }
-    for key in ["\"counters\":", "\"gauges\":", "\"histograms\":"] {
-        if !s.contains(key) {
-            return Err(format!("missing required key {key}"));
+pub fn metrics_json(s: &str) -> Result<MetricsStats, Error> {
+    let doc = parse_tagged(s, METRICS_SCHEMA)?;
+    let root = doc.root();
+    let mut scalars = 0;
+    for key in ["counters", "gauges"] {
+        for entry in root.get(key)?.items()? {
+            entry.get("name")?.str()?;
+            entry.get("value")?.int::<u64>()?;
+            scalars += 1;
         }
     }
-    Ok(MetricsStats {
-        scalars: s.matches("\"value\":").count(),
-        histograms: s.matches("\"count\":").count(),
-    })
+    let histograms = root.get("histograms")?.items()?;
+    for entry in &histograms {
+        entry.get("name")?.str()?;
+        let fields = ["count", "sum_us", "min_us", "max_us", "p50_us", "p95_us", "p99_us"];
+        require_u64(entry, &fields)?;
+    }
+    Ok(MetricsStats { scalars, histograms: histograms.len() })
 }
 
 /// Summary of a validated Chrome trace document.
@@ -99,24 +71,35 @@ pub struct TraceStats {
 }
 
 /// Validates a Chrome trace-event JSON document rendered by
-/// [`chrome::render`](crate::chrome::render).
-pub fn chrome_trace(s: &str) -> Result<TraceStats, String> {
-    check_balanced(s)?;
-    if !s.contains("\"traceEvents\":") {
-        return Err("missing \"traceEvents\" key".into());
+/// [`chrome::render`](crate::chrome::render): metadata (`M`), span
+/// (`X`), instant (`i`) and counter (`C`) events only, at least one of
+/// them metadata.
+pub fn chrome_trace(s: &str) -> Result<TraceStats, Error> {
+    let doc = json::parse(s)?;
+    let events = doc.root().get("traceEvents")?;
+    let items = events.items()?;
+    let (mut metadata, mut spans, mut counters) = (0, 0, 0);
+    for event in &items {
+        event.get("name")?.str()?;
+        event.get("pid")?.int::<u64>()?;
+        let ph = event.get("ph")?;
+        match ph.str()? {
+            "M" => metadata += 1,
+            "X" => {
+                require_u64(event, &["ts", "dur"])?;
+                spans += 1;
+            }
+            kind @ ("C" | "i") => {
+                event.get("ts")?.int::<u64>()?;
+                counters += usize::from(kind == "C");
+            }
+            _ => return Err(ph.error("unknown event phase")),
+        }
     }
-    let events = s.matches("\"ph\":").count();
-    if events == 0 {
-        return Err("trace contains no events".into());
+    if metadata == 0 {
+        return Err(events.error("trace is missing metadata (process/thread name) events"));
     }
-    if !s.contains("\"ph\": \"M\"") {
-        return Err("trace is missing metadata (process/thread name) events".into());
-    }
-    Ok(TraceStats {
-        events,
-        spans: s.matches("\"ph\": \"X\"").count(),
-        counters: s.matches("\"ph\": \"C\"").count(),
-    })
+    Ok(TraceStats { events: items.len(), spans, counters })
 }
 
 /// Summary of a validated telemetry JSONL stream.
@@ -130,36 +113,33 @@ pub struct TelemetryStats {
     pub shards: usize,
 }
 
-/// Validates a telemetry JSONL stream: every line is a balanced object
-/// with a `type` tag, the stream opens with a schema-tagged `start` record
-/// and closes with an `end` record.
-pub fn telemetry_jsonl(s: &str) -> Result<TelemetryStats, String> {
+/// Validates a telemetry JSONL stream: every line is a JSON object with a
+/// known `type` tag, the stream opens with a schema-tagged `start` record
+/// and closes with an `end` record. Errors name the line as their path.
+pub fn telemetry_jsonl(s: &str) -> Result<TelemetryStats, Error> {
     let lines: Vec<&str> = s.lines().filter(|l| !l.trim().is_empty()).collect();
-    if lines.is_empty() {
-        return Err("telemetry stream is empty".into());
+    if lines.len() < 2 {
+        let reason = "a stream needs a start and an end record".to_string();
+        return Err(Error::Schema { path: String::new(), reason });
     }
+    let last = lines.len() - 1;
     let mut stats = TelemetryStats { records: 0, cells: 0, shards: 0 };
     for (i, line) in lines.iter().enumerate() {
-        check_balanced(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if !line.starts_with("{\"type\": \"") {
-            return Err(format!("line {}: record has no leading type tag", i + 1));
+        let at_line = |reason: String| Error::Schema { path: format!("line {}", i + 1), reason };
+        let doc = if i == 0 { parse_tagged(line, TELEMETRY_SCHEMA) } else { json::parse(line) };
+        let doc = doc.map_err(|e| at_line(e.to_string()))?;
+        let kind =
+            doc.root().get("type").and_then(|t| t.str()).map_err(|e| at_line(e.to_string()))?;
+        match kind {
+            "start" if i == 0 => {}
+            _ if i == 0 => return Err(at_line("first record must have type \"start\"".into())),
+            "end" if i == last => {}
+            _ if i == last => return Err(at_line("last record must have type \"end\"".into())),
+            "cell" => stats.cells += 1,
+            "shard_merged" => stats.shards += 1,
+            other => return Err(at_line(format!("unexpected {other:?} record"))),
         }
         stats.records += 1;
-        if line.starts_with("{\"type\": \"cell\"") {
-            stats.cells += 1;
-        } else if line.starts_with("{\"type\": \"shard_merged\"") {
-            stats.shards += 1;
-        }
-    }
-    let first = lines[0];
-    if !first.starts_with("{\"type\": \"start\"") {
-        return Err("first record must have type \"start\"".into());
-    }
-    if !first.contains(&format!("\"schema\": \"{TELEMETRY_SCHEMA}\"")) {
-        return Err(format!("start record is missing schema marker {TELEMETRY_SCHEMA:?}"));
-    }
-    if !lines[lines.len() - 1].starts_with("{\"type\": \"end\"") {
-        return Err("last record must have type \"end\"".into());
     }
     Ok(stats)
 }
@@ -173,23 +153,29 @@ pub struct ProfileStats {
 
 /// Validates a `lbica-prof/v1` document rendered by
 /// [`PhaseProfiler::render_json`](crate::PhaseProfiler::render_json):
-/// balanced, schema-tagged, and carrying one entry per known phase.
-pub fn profile_json(s: &str) -> Result<ProfileStats, String> {
-    check_balanced(s)?;
-    if !s.contains(&format!("\"schema\": \"{PROF_SCHEMA}\"")) {
-        return Err(format!("missing schema marker {PROF_SCHEMA:?}"));
+/// schema-tagged, and carrying one entry per phase in [`Phase::ALL`]
+/// order.
+pub fn profile_json(s: &str) -> Result<ProfileStats, Error> {
+    let doc = parse_tagged(s, PROF_SCHEMA)?;
+    let root = doc.root();
+    root.get("label")?.str()?;
+    require_u64(&root, &["total_ns", "total_calls"])?;
+    let phases = root.get("phases")?;
+    let entries = phases.items()?;
+    if entries.len() != Phase::ALL.len() {
+        let reason =
+            format!("{} entries, expected one per phase ({})", entries.len(), Phase::ALL.len());
+        return Err(phases.error(reason));
     }
-    for key in ["\"label\":", "\"total_ns\":", "\"total_calls\":", "\"phases\":"] {
-        if !s.contains(key) {
-            return Err(format!("missing required key {key}"));
+    for (entry, phase) in entries.iter().zip(Phase::ALL) {
+        let name = entry.get("phase")?;
+        if name.str()? != phase.name() {
+            return Err(name.error(format!("expected phase {:?}", phase.name())));
         }
+        require_u64(entry, &["total_ns", "calls"])?;
+        entry.get("mean_ns")?.f64()?;
     }
-    for phase in Phase::ALL {
-        if !s.contains(&format!("\"phase\": \"{}\"", phase.name())) {
-            return Err(format!("missing entry for phase {:?}", phase.name()));
-        }
-    }
-    Ok(ProfileStats { phases: s.matches("\"phase\":").count() })
+    Ok(ProfileStats { phases: entries.len() })
 }
 
 /// Summary of a validated `bench diff` report document.
@@ -202,23 +188,27 @@ pub struct BenchDiffStats {
 }
 
 /// Validates a `lbica-bench-diff/v1` report rendered by `bench diff`:
-/// balanced, schema-tagged, and carrying the tolerance plus at least one
-/// per-cell delta entry.
-pub fn bench_diff_json(s: &str) -> Result<BenchDiffStats, String> {
-    check_balanced(s)?;
-    if !s.contains(&format!("\"schema\": \"{BENCH_DIFF_SCHEMA}\"")) {
-        return Err(format!("missing schema marker {BENCH_DIFF_SCHEMA:?}"));
+/// schema-tagged, carrying the tolerance and at least one per-cell delta
+/// entry, with a `regressions` total that counts the flagged cells.
+pub fn bench_diff_json(s: &str) -> Result<BenchDiffStats, Error> {
+    let doc = parse_tagged(s, BENCH_DIFF_SCHEMA)?;
+    let root = doc.root();
+    root.get("tolerance_pct")?.f64()?;
+    let cells = root.get("cells")?;
+    let entries = cells.items()?;
+    if entries.is_empty() {
+        return Err(cells.error("report contains no per-cell deltas"));
     }
-    for key in ["\"tolerance_pct\":", "\"regressions\":", "\"cells\":"] {
-        if !s.contains(key) {
-            return Err(format!("missing required key {key}"));
-        }
+    let mut regressions = 0;
+    for entry in &entries {
+        entry.get("id")?.str()?;
+        regressions += usize::from(entry.get("regression")?.bool()?);
     }
-    let cells = s.matches("\"id\":").count();
-    if cells == 0 {
-        return Err("report contains no per-cell deltas".into());
+    let total = root.get("regressions")?;
+    if total.int::<usize>()? != regressions {
+        return Err(total.error(format!("disagrees with the {regressions} flagged cell(s)")));
     }
-    Ok(BenchDiffStats { cells, regressions: s.matches("\"regression\": true").count() })
+    Ok(BenchDiffStats { cells: entries.len(), regressions })
 }
 
 #[cfg(test)]
@@ -246,6 +236,14 @@ mod tests {
         assert!(metrics_json(&json[..json.len() - 3]).is_err());
         assert!(metrics_json(&json.replace("lbica-metrics/v1", "lbica-metrics/v0")).is_err());
         assert!(metrics_json("").is_err());
+        let garbage = json.replace("\"counters\": [", "\"counters\": [,,, 12 garbage :::");
+        assert!(metrics_json(&garbage).is_err());
+        let string_valued = json.replace("\"value\": 0", "\"value\": \"0\"");
+        assert_ne!(string_valued, json);
+        assert!(metrics_json(&string_valued)
+            .unwrap_err()
+            .to_string()
+            .contains("counters[0].value"));
     }
 
     #[test]
@@ -331,13 +329,5 @@ mod tests {
         assert!(bench_diff_json(&report.replace("/v1", "/v0")).is_err());
         assert!(bench_diff_json(&report.replace("\"id\"", "\"di\"")).is_err());
         assert!(bench_diff_json("").is_err());
-    }
-
-    #[test]
-    fn balance_checker_is_string_aware() {
-        assert!(check_balanced("{\"a\": \"}{][\"}").is_ok());
-        assert!(check_balanced("{\"a\": \"\\\"}\"}").is_ok());
-        assert!(check_balanced("{]").is_err());
-        assert!(check_balanced("{\"a").is_err());
     }
 }

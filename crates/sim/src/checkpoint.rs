@@ -12,9 +12,11 @@
 //! Checkpoints serialize through the hand-rolled
 //! [`snap`](lbica_storage::snap) encoding and are hardened against hostile
 //! input the same way: truncated, corrupted, or mismatched buffers decode to
-//! typed [`SnapError`]s, never panics.
+//! typed [`SnapError`]s, never panics. The last eight bytes are an FNV-1a-64
+//! checksum of everything before them, checked before any field is decoded,
+//! so a flipped bit is refused instead of resuming into a wrong report.
 
-use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
+use lbica_storage::snap::{fnv1a, SnapError, SnapReader, SnapWriter, FNV_OFFSET};
 use lbica_trace::monitor::IntervalReport;
 
 use crate::report::PolicyChange;
@@ -22,8 +24,9 @@ use crate::report::PolicyChange;
 /// File magic of the serialized checkpoint format.
 const MAGIC: [u8; 4] = *b"LBCP";
 /// Version of the serialized checkpoint format. (`2` stores the systems'
-/// request-id counter ahead of the tracker's live ids, which it bounds.)
-const VERSION: u32 = 2;
+/// request-id counter ahead of the tracker's live ids, which it bounds;
+/// `3` appends the body checksum.)
+const VERSION: u32 = 3;
 
 /// The state of a simulation paused at a monitoring-interval boundary.
 ///
@@ -83,13 +86,20 @@ impl ReplayCheckpoint {
             change.snap_to(&mut w);
         }
         w.put_bytes(&self.state);
-        w.into_bytes()
+        let mut bytes = w.into_bytes();
+        let checksum = fnv1a(&bytes, FNV_OFFSET);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        bytes
     }
 
     /// Decodes a checkpoint serialized by [`ReplayCheckpoint::to_bytes`],
     /// treating the buffer as untrusted.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
-        let mut r = SnapReader::new(bytes);
+        let Some(body_len) = bytes.len().checked_sub(8) else {
+            return Err(SnapError::UnexpectedEof { needed: 8, remaining: bytes.len() });
+        };
+        let (body, checksum) = bytes.split_at(body_len);
+        let mut r = SnapReader::new(body);
         for expected in MAGIC {
             if r.get_u8()? != expected {
                 return Err(SnapError::Corrupt("checkpoint magic"));
@@ -97,6 +107,9 @@ impl ReplayCheckpoint {
         }
         if r.get_u32()? != VERSION {
             return Err(SnapError::Corrupt("checkpoint version"));
+        }
+        if fnv1a(body, FNV_OFFSET).to_le_bytes() != checksum {
+            return Err(SnapError::Corrupt("checkpoint checksum"));
         }
         let workload = r.get_str()?;
         let controller = r.get_str()?;
@@ -206,6 +219,43 @@ mod tests {
                 Ok(_) => panic!("truncation to {len} bytes decoded successfully"),
             }
         }
+    }
+
+    /// Flips a deterministic sample of single bits in a checkpoint taken
+    /// halfway through a tiny run: every bit of the header, the first
+    /// state bytes and the checksum, and a strided sample of the rest.
+    fn every_sampled_bit_flip_is_refused(config: crate::SimulationConfig) {
+        use crate::controller::StaticPolicyController;
+        use crate::Simulation;
+        use lbica_trace::workload::{WorkloadScale, WorkloadSpec};
+        let spec = WorkloadSpec::tpcc_scaled(WorkloadScale::tiny());
+        let split = spec.total_intervals() / 2;
+        let mut bytes = Simulation::new(config, spec, 7)
+            .run_to_checkpoint(&mut StaticPolicyController::write_back(), split)
+            .unwrap()
+            .to_bytes();
+        assert!(ReplayCheckpoint::from_bytes(&bytes).is_ok());
+        let len = bytes.len();
+        let mut positions: Vec<usize> = (0..64).chain(len - 8..len).collect();
+        let stride = (len / 180).max(1);
+        positions.extend((64..len - 8).step_by(stride).take(180));
+        let mut flips = 0;
+        for &at in &positions {
+            for bit in 0..8 {
+                bytes[at] ^= 1 << bit;
+                let decoded = ReplayCheckpoint::from_bytes(&bytes);
+                bytes[at] ^= 1 << bit;
+                assert!(decoded.is_err(), "flip of bit {bit} at byte {at} of {len} decoded");
+                flips += 1;
+            }
+        }
+        assert!(flips >= 2_000, "only {flips} flips sampled");
+    }
+
+    #[test]
+    fn single_bit_flips_are_refused_on_both_datapaths() {
+        every_sampled_bit_flip_is_refused(crate::SimulationConfig::tiny());
+        every_sampled_bit_flip_is_refused(crate::SimulationConfig::tiny_two_tier());
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use controller::{
     StaticPolicyController, TierLoad,
 };
 pub use event::{Event, EventKind, EventQueue};
-pub use lbica_storage::snap::SnapError;
+pub use lbica_storage::snap::{fnv1a, SnapError, FNV_OFFSET};
 pub use report::{PolicyChange, SimPerf, SimulationReport, TierLevelStats};
 pub use runner::Simulation;
 pub use system::{DeviceStation, StorageSystem};

@@ -54,5 +54,5 @@ pub use error::StorageError;
 pub use histogram::LatencyHistogram;
 pub use queue::{DeviceQueue, QueueSnapshot, QueueStats};
 pub use request::{IoRequest, RequestClass, RequestId, RequestKind, RequestOrigin};
-pub use snap::{SnapError, SnapReader, SnapWriter};
+pub use snap::{fnv1a, SnapError, SnapReader, SnapWriter, FNV_OFFSET};
 pub use time::{SimDuration, SimTime};

@@ -47,6 +47,16 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
+/// The FNV-1a-64 offset basis: the starting `hash` of [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a-64 `hash` (start from [`FNV_OFFSET`]):
+/// the checkpoint checksum, and the seed hash of the lab and the trace
+/// generator.
+pub fn fnv1a(bytes: &[u8], hash: u64) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 /// Appends snapshot fields to a growing byte buffer.
 #[derive(Debug, Default)]
 pub struct SnapWriter {

@@ -16,13 +16,11 @@
 use serde::{Deserialize, Serialize};
 
 use lbica_storage::block::BLOCK_SECTORS;
+use lbica_storage::snap::{fnv1a, FNV_OFFSET};
 
 use crate::gen::{generate_stream, AccessPattern, ArrivalProcess, PatternSpec};
 use crate::io::BinaryTraceCodec;
 use crate::record::TraceRecord;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Derives a tenant's private stream seed from the cell seed and the tenant
 /// ordinal alone (FNV-1a over the two coordinates with a separator, then a
@@ -31,14 +29,9 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// `t`'s stream is stable when tenants are added, removed, or the matrix
 /// axes are reordered.
 fn tenant_seed(seed: u64, tenant: u32) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in seed.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h = (h ^ 0xff).wrapping_mul(FNV_PRIME);
-    for b in u64::from(tenant).to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
+    let mut h = fnv1a(&seed.to_le_bytes(), FNV_OFFSET);
+    h = fnv1a(&[0xff], h);
+    h = fnv1a(&u64::from(tenant).to_le_bytes(), h);
     let mut z = h;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
